@@ -26,8 +26,15 @@ pub mod workmodel;
 pub const RESULTS_DIR: &str = "bench_results";
 
 /// Ensures the results directory exists and returns the path for a file.
+/// The crate's own unit tests write their smoke-size tables under the
+/// workspace's `target/` instead, never next to the paper's CSVs.
 pub fn results_path(name: &str) -> std::path::PathBuf {
-    let dir = std::path::Path::new(RESULTS_DIR);
-    std::fs::create_dir_all(dir).ok();
+    #[cfg(test)]
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../target/tmp")
+        .join(RESULTS_DIR);
+    #[cfg(not(test))]
+    let dir = std::path::PathBuf::from(RESULTS_DIR);
+    std::fs::create_dir_all(&dir).ok();
     dir.join(name)
 }

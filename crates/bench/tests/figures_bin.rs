@@ -2,9 +2,12 @@
 
 use std::process::Command;
 
+/// Runs `figures` from the test scratch directory under `target/`, so
+/// the CSVs it writes (relative to its working directory) stay there.
 fn run(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
         .args(args)
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
         .output()
         .expect("spawn figures");
     (
@@ -46,7 +49,9 @@ fn runs_a_small_experiment_and_writes_csv() {
     assert!(ok, "{stderr}");
     assert!(stdout.contains("## fig3"), "{stdout}");
     assert!(stdout.contains("epsilon"), "{stdout}");
-    assert!(std::path::Path::new("bench_results/fig3.csv").exists());
+    assert!(std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("bench_results/fig3.csv")
+        .exists());
 }
 
 #[test]

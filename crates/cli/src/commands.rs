@@ -4,15 +4,15 @@
 use std::error::Error;
 use std::fs;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use plssvm_core::cg::SolveOutcome;
 use plssvm_core::multiclass::{
     train_multiclass_with_outcomes, MultiClassModel, MultiClassStrategy,
 };
-use plssvm_core::regression::{mean_squared_error, predict_values, r_squared, LsSvr};
+use plssvm_core::regression::{mean_squared_error, predict_values, r_squared};
 use plssvm_core::simd::FORCE_ISA_ENV;
-use plssvm_core::svm::{accuracy, predict_labels, LsSvm};
+use plssvm_core::svm::{accuracy, predict_labels, LsSvm, TrainOutput, TrainProblem};
 use plssvm_core::trace::{MetricsSink, RecoveryKind, Telemetry, TelemetryReport};
 use plssvm_core::validation::cross_validate;
 use plssvm_core::SvmError;
@@ -22,7 +22,7 @@ use plssvm_data::io::write_atomic_with;
 use plssvm_data::libsvm::{
     read_libsvm_file, read_libsvm_regression_file, write_libsvm_string, LabeledData, RegressionData,
 };
-use plssvm_data::model::{peek_svm_type, SvmModel, SvrModel};
+use plssvm_data::model::{peek_svm_type, KernelSpec, SvmModel, SvrModel};
 use plssvm_data::multiclass::read_libsvm_multiclass_file;
 use plssvm_data::sat6::{generate_sat6, Sat6Config};
 use plssvm_data::scale::ScalingParams;
@@ -261,6 +261,69 @@ fn escalation_summary(escalations: &[RecoveryKind]) -> Option<String> {
     )
 }
 
+/// The LS-SVM trainer of every `svm-train` path (binary, regression and
+/// multi-class): kernel, cost, ε, solver, backend, checkpoint cadence and
+/// the durable journal.
+fn lssvm_trainer(
+    args: &TrainArgs,
+    kernel: KernelSpec<f64>,
+    vfs: &Arc<dyn Vfs>,
+) -> Result<LsSvm<f64>, Box<dyn Error>> {
+    let mut trainer = LsSvm::new()
+        .with_kernel(kernel)
+        .with_cost(args.cost)
+        .with_epsilon(args.epsilon)
+        .with_solver(args.solver)
+        .with_backend(args.backend.clone());
+    if let Some(k) = args.checkpoint_every {
+        trainer = trainer.with_checkpoint_interval(k);
+    }
+    if let Some((journal, salt)) = journal_for(args, vfs)? {
+        trainer = trainer
+            .with_checkpoint_journal(journal)
+            .with_checkpoint_salt(salt)
+            .with_resume(args.resume);
+    }
+    Ok(trainer)
+}
+
+/// Trains one binary or regression problem on data parsed in `read`:
+/// attaches `--fault-plan` and the telemetry sink, applies the
+/// `--on-nonconverged` and `--on-io-degraded` policies (either may refuse
+/// the model before it is written), then writes the model. Warning lines
+/// go to `summary`.
+fn train_and_save<P: TrainProblem<f64>>(
+    args: &TrainArgs,
+    mut trainer: LsSvm<f64>,
+    data: &P,
+    read: Duration,
+    vfs: &Arc<dyn Vfs>,
+    summary: &mut String,
+) -> Result<TrainOutput<f64, P::Model>, Box<dyn Error>> {
+    if let Some(plan) = &args.fault_plan {
+        trainer = trainer.with_fault_plan(plan.clone());
+    }
+    let telemetry = telemetry_for(args);
+    if let Some(t) = &telemetry {
+        trainer = trainer.with_metrics(Arc::clone(t));
+    }
+    let out = trainer.train_parsed(data, read)?;
+    let warning = apply_nonconverged_policy(
+        args.on_nonconverged,
+        out.outcome,
+        out.relative_residual,
+        out.iterations,
+    )?;
+    let degraded = apply_io_degraded_policy(args.on_io_degraded, out.io_degraded)?;
+    write_final(
+        telemetry.as_deref().map(|t| t as &dyn MetricsSink),
+        "model write",
+        || P::save_with(&out.model, vfs.as_ref(), std::path::Path::new(&args.model)),
+    )?;
+    summary.extend(warning.into_iter().chain(degraded));
+    Ok(out)
+}
+
 /// Runs `svm-train`; returns the human-readable summary printed to stdout.
 pub fn run_train(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
     match force_isa_warning() {
@@ -282,7 +345,9 @@ fn train_inner(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
             return run_train_multiclass(args, &multi);
         }
     }
+    let t_read = Instant::now();
     let data = read_classification(&args.input)?;
+    let read = t_read.elapsed();
     let kernel = kernel_from_args(args, data.features());
     let vfs = vfs_for(args);
     let mut summary = String::new();
@@ -315,24 +380,7 @@ fn train_inner(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
     }
     match args.algorithm {
         Algorithm::LsSvm => {
-            let mut trainer = LsSvm::new()
-                .with_kernel(kernel)
-                .with_cost(args.cost)
-                .with_epsilon(args.epsilon)
-                .with_solver(args.solver)
-                .with_backend(args.backend.clone());
-            if let Some(plan) = &args.fault_plan {
-                trainer = trainer.with_fault_plan(plan.clone());
-            }
-            if let Some(k) = args.checkpoint_every {
-                trainer = trainer.with_checkpoint_interval(k);
-            }
-            if let Some((journal, salt)) = journal_for(args, &vfs)? {
-                trainer = trainer
-                    .with_checkpoint_journal(journal)
-                    .with_checkpoint_salt(salt)
-                    .with_resume(args.resume);
-            }
+            let mut trainer = lssvm_trainer(args, kernel, &vfs)?;
             if !args.label_weights.is_empty() {
                 // -wi: class weights become per-sample weights of the
                 // weighted LS-SVM (the error term of sample i is C·wᵢ)
@@ -341,38 +389,7 @@ fn train_inner(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
                     .collect();
                 trainer = trainer.with_sample_weights(weights);
             }
-            let telemetry = telemetry_for(args);
-            if let Some(t) = &telemetry {
-                trainer = trainer.with_metrics(Arc::clone(t));
-            }
-            let out = if is_arff(&args.input) {
-                trainer.train(&data)?
-            } else {
-                trainer.train_from_file(&args.input, None)?
-            };
-            // --on-nonconverged error refuses the model before it is written
-            let warning = apply_nonconverged_policy(
-                args.on_nonconverged,
-                out.outcome,
-                out.relative_residual,
-                out.iterations,
-            )?;
-            // ... and so does --on-io-degraded error when the journal died
-            let degraded = apply_io_degraded_policy(args.on_io_degraded, out.io_degraded)?;
-            write_final(
-                telemetry.as_deref().map(|t| t as &dyn MetricsSink),
-                "model write",
-                || {
-                    out.model
-                        .save_with(vfs.as_ref(), std::path::Path::new(&args.model))
-                },
-            )?;
-            if let Some(w) = warning {
-                summary.push_str(&w);
-            }
-            if let Some(w) = degraded {
-                summary.push_str(&w);
-            }
+            let out = train_and_save(args, trainer, &data, read, &vfs, &mut summary)?;
             if !args.quiet {
                 summary.push_str(&format!(
                     "PLSSVM (LS-SVM) trained on {} points x {} features\n",
@@ -479,54 +496,13 @@ fn run_train_regression(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
     if args.algorithm != Algorithm::LsSvm {
         return Err("regression is implemented for the lssvm algorithm (LS-SVR)".into());
     }
+    let t_read = Instant::now();
     let data: RegressionData<f64> = read_libsvm_regression_file(&args.input, None)?;
-    let kernel = kernel_from_args(args, data.features());
+    let read = t_read.elapsed();
     let vfs = vfs_for(args);
-    let mut trainer = LsSvr::new()
-        .with_kernel(kernel)
-        .with_cost(args.cost)
-        .with_epsilon(args.epsilon)
-        .with_solver(args.solver)
-        .with_backend(args.backend.clone());
-    if let Some(plan) = &args.fault_plan {
-        trainer = trainer.with_fault_plan(plan.clone());
-    }
-    if let Some(k) = args.checkpoint_every {
-        trainer = trainer.with_checkpoint_interval(k);
-    }
-    if let Some((journal, salt)) = journal_for(args, &vfs)? {
-        trainer = trainer
-            .with_checkpoint_journal(journal)
-            .with_checkpoint_salt(salt)
-            .with_resume(args.resume);
-    }
-    let telemetry = telemetry_for(args);
-    if let Some(t) = &telemetry {
-        trainer = trainer.with_metrics(Arc::clone(t));
-    }
-    let out = trainer.train(&data)?;
-    let warning = apply_nonconverged_policy(
-        args.on_nonconverged,
-        out.outcome,
-        out.relative_residual,
-        out.iterations,
-    )?;
-    let degraded = apply_io_degraded_policy(args.on_io_degraded, out.io_degraded)?;
-    write_final(
-        telemetry.as_deref().map(|t| t as &dyn MetricsSink),
-        "model write",
-        || {
-            out.model
-                .save_with(vfs.as_ref(), std::path::Path::new(&args.model))
-        },
-    )?;
+    let trainer = lssvm_trainer(args, kernel_from_args(args, data.features()), &vfs)?;
     let mut summary = String::new();
-    if let Some(w) = warning {
-        summary.push_str(&w);
-    }
-    if let Some(w) = degraded {
-        summary.push_str(&w);
-    }
+    let out = train_and_save(args, trainer, &data, read, &vfs, &mut summary)?;
     if !args.quiet {
         summary.push_str(&format!(
             "LS-SVR trained on {} points x {} features\nCG iterations: {} (converged: {})\ntraining MSE: {:.6e}, R^2: {:.4}\n",
@@ -565,25 +541,10 @@ fn run_train_multiclass(
     if args.cv_folds.is_some() {
         return Err("cross validation currently supports binary problems only".into());
     }
-    let kernel = kernel_from_args(args, data.features());
     let vfs = vfs_for(args);
-    let mut trainer = LsSvm::new()
-        .with_kernel(kernel)
-        .with_cost(args.cost)
-        .with_epsilon(args.epsilon)
-        .with_solver(args.solver)
-        .with_backend(args.backend.clone());
-    if let Some(k) = args.checkpoint_every {
-        trainer = trainer.with_checkpoint_interval(k);
-    }
     // each binary subproblem checkpoints into its own task-<k>/
     // sub-journal (handled by the multiclass driver)
-    if let Some((journal, salt)) = journal_for(args, &vfs)? {
-        trainer = trainer
-            .with_checkpoint_journal(journal)
-            .with_checkpoint_salt(salt)
-            .with_resume(args.resume);
-    }
+    let trainer = lssvm_trainer(args, kernel_from_args(args, data.features()), &vfs)?;
     let strategy = match args.multiclass {
         McStrategy::Ovo => MultiClassStrategy::OneVsOne,
         McStrategy::Ovr => MultiClassStrategy::OneVsRest,

@@ -114,7 +114,7 @@ impl<T: Real> CgConfig<T> {
 /// continue exactly where it stopped.
 ///
 /// Taken by the solver when [`CgConfig::checkpoint_interval`] is set and
-/// resumed with [`conjugate_gradients_resume`]. The state is tiny — three
+/// resumed through [`CgRun::resume`]. The state is tiny — three
 /// `n`-vectors plus four scalars — which is what makes checkpointing the
 /// solve essentially free compared to the matvec it protects.
 ///
@@ -345,8 +345,8 @@ pub struct CgResult<T> {
     /// drift at refresh points (see [`CgConfig::drift_tolerance`]).
     pub drift_restarts: usize,
     /// The solver state at exit, present when
-    /// [`CgConfig::checkpoint_interval`] is set. Resuming from it with
-    /// [`conjugate_gradients_resume`] continues the run exactly where it
+    /// [`CgConfig::checkpoint_interval`] is set. Resuming from it through
+    /// [`CgRun::resume`] continues the run exactly where it
     /// stopped (e.g. after an early stop via `max_iterations`).
     pub checkpoint: Option<CgState<T>>,
 }
@@ -358,6 +358,44 @@ impl<T: Real> CgResult<T> {
             T::ZERO
         } else {
             self.residual_norm / self.initial_residual_norm
+        }
+    }
+}
+
+/// Optional extras of one CG solve, passed to [`conjugate_gradients_with`].
+/// `CgRun::default()` is plain CG from `x₀ = 0` without telemetry.
+pub struct CgRun<'a, T> {
+    /// Jacobi preconditioner `M = diag(A)`: every entry must be strictly
+    /// positive (the SPD precondition). Termination still checks the
+    /// *unpreconditioned* relative residual `‖r‖ ≤ ε·‖r₀‖`, so iteration
+    /// counts stay directly comparable to plain CG. An extension past the
+    /// paper (which uses plain CG); on ill-conditioned kernels the
+    /// diagonal scaling cuts the iteration count — see the `ablation`
+    /// figure.
+    pub diagonal: Option<&'a [T]>,
+    /// Per-iteration telemetry: each iteration's residual norm, α, β and
+    /// matvec wall time is reported here (see [`crate::trace`]). `None`
+    /// costs a single branch per iteration and performs no timing.
+    pub metrics: Option<&'a dyn MetricsSink>,
+    /// Warm restart from a [`CgState`] checkpoint. The search direction,
+    /// residual, ρ and the absolute iteration counter are restored, so an
+    /// interrupted solve resumed here performs the same arithmetic — and
+    /// the same total iterations — as one that was never interrupted;
+    /// `max_iterations` bounds the *absolute* count. A preconditioned
+    /// solve must be resumed with the same `diagonal`.
+    pub resume: Option<&'a CgState<T>>,
+    /// Receives every periodic snapshot (see [`CheckpointSink`]).
+    /// Attaching a sink never perturbs the numerics.
+    pub sink: Option<&'a dyn CheckpointSink<T>>,
+}
+
+impl<T> Default for CgRun<'_, T> {
+    fn default() -> Self {
+        Self {
+            diagonal: None,
+            metrics: None,
+            resume: None,
+            sink: None,
         }
     }
 }
@@ -387,155 +425,29 @@ pub fn conjugate_gradients<T: Real>(
     b: &[T],
     config: &CgConfig<T>,
 ) -> CgResult<T> {
-    conjugate_gradients_impl(op, b, config, None, None, None)
+    conjugate_gradients_with(op, b, config, CgRun::default())
 }
 
-/// [`conjugate_gradients`] with per-iteration telemetry: each iteration's
-/// residual norm, α, β and matvec wall time is reported to `metrics` (see
-/// [`crate::trace`]). Passing `None` is exactly [`conjugate_gradients`] —
-/// the disabled path costs a single branch per iteration and performs no
-/// timing.
+/// [`conjugate_gradients`] with the optional Jacobi preconditioner,
+/// telemetry, warm restart and checkpoint sink of `run`. Every extra that
+/// is `None` leaves the arithmetic bit-identical to the solve without it.
 ///
 /// # Panics
-/// Same contract as [`conjugate_gradients`].
-pub fn conjugate_gradients_with_metrics<T: Real>(
+/// The contract of [`conjugate_gradients`], plus: a `diagonal` whose
+/// length differs from `op.dim()` or that has an entry that is not
+/// strictly positive, and a `resume` state of the wrong dimension.
+pub fn conjugate_gradients_with<T: Real>(
     op: &dyn LinOp<T>,
     b: &[T],
     config: &CgConfig<T>,
-    metrics: Option<&dyn MetricsSink>,
+    run: CgRun<'_, T>,
 ) -> CgResult<T> {
-    conjugate_gradients_impl(op, b, config, None, metrics, None)
-}
-
-/// Resumes a CG solve from a [`CgState`] checkpoint (warm restart).
-///
-/// The recurrence continues exactly: the search direction, residual, ρ and
-/// the absolute iteration counter are restored, so an interrupted solve
-/// resumed here performs the same arithmetic — and therefore the same
-/// number of total iterations — as one that was never interrupted.
-/// `config.max_iterations` bounds the *absolute* iteration count, matching
-/// the uninterrupted run.
-///
-/// # Panics
-/// Panics if the checkpoint dimension does not match `op.dim()`, plus the
-/// contract of [`conjugate_gradients`].
-pub fn conjugate_gradients_resume<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    config: &CgConfig<T>,
-    state: &CgState<T>,
-) -> CgResult<T> {
-    conjugate_gradients_impl(op, b, config, None, None, Some(state))
-}
-
-/// [`conjugate_gradients_resume`] with per-iteration telemetry.
-///
-/// # Panics
-/// Same contract as [`conjugate_gradients_resume`].
-pub fn conjugate_gradients_resume_with_metrics<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    config: &CgConfig<T>,
-    state: &CgState<T>,
-    metrics: Option<&dyn MetricsSink>,
-) -> CgResult<T> {
-    conjugate_gradients_impl(op, b, config, None, metrics, Some(state))
-}
-
-/// Resumes a **Jacobi-preconditioned** solve from a checkpoint. The same
-/// `diagonal` the original solve used must be passed, or the preconditioned
-/// recurrence will not continue the original one.
-///
-/// # Panics
-/// The contracts of [`conjugate_gradients_jacobi`] and
-/// [`conjugate_gradients_resume`] combined.
-pub fn conjugate_gradients_jacobi_resume<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    diagonal: &[T],
-    config: &CgConfig<T>,
-    state: &CgState<T>,
-) -> CgResult<T> {
-    conjugate_gradients_jacobi_resume_with_metrics(op, b, diagonal, config, state, None)
-}
-
-/// [`conjugate_gradients_jacobi_resume`] with per-iteration telemetry.
-///
-/// # Panics
-/// Same contract as [`conjugate_gradients_jacobi_resume`].
-pub fn conjugate_gradients_jacobi_resume_with_metrics<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    diagonal: &[T],
-    config: &CgConfig<T>,
-    state: &CgState<T>,
-    metrics: Option<&dyn MetricsSink>,
-) -> CgResult<T> {
-    assert_eq!(diagonal.len(), op.dim(), "diagonal length mismatch");
-    assert!(
-        diagonal.iter().all(|d| d.to_f64() > 0.0),
-        "Jacobi preconditioner needs a strictly positive diagonal"
-    );
-    conjugate_gradients_impl(op, b, config, Some(diagonal), metrics, Some(state))
-}
-
-/// Solves `A·x = b` with **Jacobi-preconditioned** CG: `M = diag(A)`,
-/// passed as `diagonal`. Termination still checks the *unpreconditioned*
-/// relative residual `‖r‖ ≤ ε·‖r₀‖` so iteration counts stay directly
-/// comparable to [`conjugate_gradients`]. An extension past the paper
-/// (which uses plain CG); on ill-conditioned kernels the diagonal scaling
-/// cuts the iteration count — see the `ablation` figure.
-///
-/// # Panics
-/// Panics on length mismatches, non-positive ε, or a diagonal entry that
-/// is not strictly positive (the SPD precondition).
-pub fn conjugate_gradients_jacobi<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    diagonal: &[T],
-    config: &CgConfig<T>,
-) -> CgResult<T> {
-    conjugate_gradients_jacobi_with_metrics(op, b, diagonal, config, None)
-}
-
-/// [`conjugate_gradients_jacobi`] with per-iteration telemetry, analogous
-/// to [`conjugate_gradients_with_metrics`].
-///
-/// # Panics
-/// Same contract as [`conjugate_gradients_jacobi`].
-pub fn conjugate_gradients_jacobi_with_metrics<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    diagonal: &[T],
-    config: &CgConfig<T>,
-    metrics: Option<&dyn MetricsSink>,
-) -> CgResult<T> {
-    assert_eq!(diagonal.len(), op.dim(), "diagonal length mismatch");
-    assert!(
-        diagonal.iter().all(|d| d.to_f64() > 0.0),
-        "Jacobi preconditioner needs a strictly positive diagonal"
-    );
-    conjugate_gradients_impl(op, b, config, Some(diagonal), metrics, None)
-}
-
-/// The fully general entry point: optional Jacobi preconditioning,
-/// telemetry, warm restart **and** a [`CheckpointSink`] receiving every
-/// periodic snapshot. All other `conjugate_gradients*` wrappers delegate
-/// here; passing `None` for `sink` is bit-identical to the corresponding
-/// wrapper, so attaching a durable journal never perturbs the numerics.
-///
-/// # Panics
-/// The combined contracts of [`conjugate_gradients_jacobi`] and
-/// [`conjugate_gradients_resume`].
-pub fn conjugate_gradients_checkpointed<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    config: &CgConfig<T>,
-    diagonal: Option<&[T]>,
-    metrics: Option<&dyn MetricsSink>,
-    resume: Option<&CgState<T>>,
-    sink: Option<&dyn CheckpointSink<T>>,
-) -> CgResult<T> {
+    let CgRun {
+        diagonal,
+        metrics,
+        resume,
+        sink,
+    } = run;
     if let Some(diag) = diagonal {
         assert_eq!(diag.len(), op.dim(), "diagonal length mismatch");
         assert!(
@@ -543,29 +455,6 @@ pub fn conjugate_gradients_checkpointed<T: Real>(
             "Jacobi preconditioner needs a strictly positive diagonal"
         );
     }
-    conjugate_gradients_full(op, b, config, diagonal, metrics, resume, sink)
-}
-
-fn conjugate_gradients_impl<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    config: &CgConfig<T>,
-    diagonal: Option<&[T]>,
-    metrics: Option<&dyn MetricsSink>,
-    resume: Option<&CgState<T>>,
-) -> CgResult<T> {
-    conjugate_gradients_full(op, b, config, diagonal, metrics, resume, None)
-}
-
-fn conjugate_gradients_full<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    config: &CgConfig<T>,
-    diagonal: Option<&[T]>,
-    metrics: Option<&dyn MetricsSink>,
-    resume: Option<&CgState<T>>,
-    sink: Option<&dyn CheckpointSink<T>>,
-) -> CgResult<T> {
     let n = op.dim();
     assert_eq!(b.len(), n, "rhs length mismatch");
     assert!(
@@ -1015,7 +904,15 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.4).sin()).collect();
         let diag: Vec<f64> = (0..n).map(|i| op.a[i * n + i]).collect();
         let plain = conjugate_gradients(&op, &b, &CgConfig::with_epsilon(1e-10));
-        let pcg = conjugate_gradients_jacobi(&op, &b, &diag, &CgConfig::with_epsilon(1e-10));
+        let pcg = conjugate_gradients_with(
+            &op,
+            &b,
+            &CgConfig::with_epsilon(1e-10),
+            CgRun {
+                diagonal: Some(&diag),
+                ..CgRun::default()
+            },
+        );
         assert!(plain.converged && pcg.converged);
         for i in 0..n {
             assert!((plain.x[i] - pcg.x[i]).abs() < 1e-6, "x[{i}]");
@@ -1044,7 +941,15 @@ mod tests {
             ..CgConfig::default()
         };
         let plain = conjugate_gradients(&op, &b, &cfg);
-        let pcg = conjugate_gradients_jacobi(&op, &b, &diag, &cfg);
+        let pcg = conjugate_gradients_with(
+            &op,
+            &b,
+            &cfg,
+            CgRun {
+                diagonal: Some(&diag),
+                ..CgRun::default()
+            },
+        );
         assert!(pcg.converged);
         assert!(
             pcg.iterations * 2 < plain.iterations.max(1) || !plain.converged,
@@ -1058,14 +963,26 @@ mod tests {
     #[should_panic(expected = "strictly positive diagonal")]
     fn jacobi_rejects_nonpositive_diagonal() {
         let op = identity(3);
-        let _ = conjugate_gradients_jacobi(&op, &[1.0; 3], &[1.0, 0.0, 1.0], &CgConfig::default());
+        let run = CgRun {
+            diagonal: Some(&[1.0, 0.0, 1.0][..]),
+            ..CgRun::default()
+        };
+        let _ = conjugate_gradients_with(&op, &[1.0; 3], &CgConfig::default(), run);
     }
 
     #[test]
     #[should_panic(expected = "diagonal length mismatch")]
     fn jacobi_checks_diagonal_length() {
         let op = identity(3);
-        let _ = conjugate_gradients_jacobi(&op, &[1.0; 3], &[1.0; 4], &CgConfig::default());
+        let _ = conjugate_gradients_with(
+            &op,
+            &[1.0; 3],
+            &CgConfig::default(),
+            CgRun {
+                diagonal: Some(&[1.0; 4]),
+                ..CgRun::default()
+            },
+        );
     }
 
     #[test]
@@ -1075,7 +992,15 @@ mod tests {
         let op = random_spd(n, 3);
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
         let t = Telemetry::new();
-        let r = conjugate_gradients_with_metrics(&op, &b, &CgConfig::with_epsilon(1e-8), Some(&t));
+        let r = conjugate_gradients_with(
+            &op,
+            &b,
+            &CgConfig::with_epsilon(1e-8),
+            CgRun {
+                metrics: Some(&t),
+                ..CgRun::default()
+            },
+        );
         let report = t.report();
         assert_eq!(report.iterations(), r.iterations);
         assert_eq!(report.cg_dim, Some(n));
@@ -1119,7 +1044,15 @@ mod tests {
             let state = interrupted.checkpoint.expect("checkpoint requested");
             assert_eq!(state.iterations(), stop_at);
             assert_eq!(state.solution(), &interrupted.x[..]);
-            let resumed = conjugate_gradients_resume(&op, &b, &full_cfg, &state);
+            let resumed = conjugate_gradients_with(
+                &op,
+                &b,
+                &full_cfg,
+                CgRun {
+                    resume: Some(&state),
+                    ..CgRun::default()
+                },
+            );
             // warm restart preserves the exact recurrence: bit-identical
             assert_eq!(resumed.x, full.x, "stop_at={stop_at}");
             assert_eq!(resumed.iterations, full.iterations);
@@ -1139,19 +1072,39 @@ mod tests {
             checkpoint_interval: Some(3),
             ..CgConfig::default()
         };
-        let full = conjugate_gradients_jacobi(&op, &b, &diag, &cfg);
-        assert!(full.converged && full.iterations > 4);
-        let interrupted = conjugate_gradients_jacobi(
+        let full = conjugate_gradients_with(
             &op,
             &b,
-            &diag,
+            &cfg,
+            CgRun {
+                diagonal: Some(&diag),
+                ..CgRun::default()
+            },
+        );
+        assert!(full.converged && full.iterations > 4);
+        let interrupted = conjugate_gradients_with(
+            &op,
+            &b,
             &CgConfig {
                 max_iterations: Some(3),
                 ..cfg
             },
+            CgRun {
+                diagonal: Some(&diag),
+                ..CgRun::default()
+            },
         );
         let state = interrupted.checkpoint.unwrap();
-        let resumed = conjugate_gradients_jacobi_resume(&op, &b, &diag, &cfg, &state);
+        let resumed = conjugate_gradients_with(
+            &op,
+            &b,
+            &cfg,
+            CgRun {
+                diagonal: Some(&diag),
+                resume: Some(&state),
+                ..CgRun::default()
+            },
+        );
         assert_eq!(resumed.x, full.x);
         assert_eq!(resumed.iterations, full.iterations);
     }
@@ -1168,7 +1121,15 @@ mod tests {
         };
         let full = conjugate_gradients(&op, &b, &cfg);
         assert!(full.converged);
-        let resumed = conjugate_gradients_resume(&op, &b, &cfg, &full.checkpoint.unwrap());
+        let resumed = conjugate_gradients_with(
+            &op,
+            &b,
+            &cfg,
+            CgRun {
+                resume: Some(&full.checkpoint.unwrap()),
+                ..CgRun::default()
+            },
+        );
         assert!(resumed.converged);
         assert_eq!(resumed.iterations, full.iterations);
         assert_eq!(resumed.x, full.x);
@@ -1194,11 +1155,15 @@ mod tests {
                 ..CgConfig::with_epsilon(1e-8)
             },
         );
-        let _ = conjugate_gradients_resume(
+        let state = r.checkpoint.unwrap();
+        let _ = conjugate_gradients_with(
             &op,
             &[1.0; 8],
             &CgConfig::default(),
-            &r.checkpoint.unwrap(),
+            CgRun {
+                resume: Some(&state),
+                ..CgRun::default()
+            },
         );
     }
 
@@ -1214,7 +1179,15 @@ mod tests {
             checkpoint_interval: Some(2),
             ..CgConfig::default()
         };
-        let r = conjugate_gradients_with_metrics(&op, &b, &cfg, Some(&t));
+        let r = conjugate_gradients_with(
+            &op,
+            &b,
+            &cfg,
+            CgRun {
+                metrics: Some(&t),
+                ..CgRun::default()
+            },
+        );
         let report = t.report();
         let checkpoints = report
             .recovery
@@ -1245,19 +1218,121 @@ mod tests {
             ..CgConfig::default()
         };
         let sink = Collect(Mutex::new(Vec::new()));
-        let r = conjugate_gradients_checkpointed(&op, &b, &cfg, None, None, None, Some(&sink));
+        let r = conjugate_gradients_with(
+            &op,
+            &b,
+            &cfg,
+            CgRun {
+                sink: Some(&sink),
+                ..CgRun::default()
+            },
+        );
         let snaps = sink.0.into_inner().unwrap();
         assert_eq!(snaps.len(), r.iterations / 2);
         for (k, s) in snaps.iter().enumerate() {
             assert_eq!(s.iterations(), 2 * (k + 1));
         }
         // resuming from any streamed snapshot reproduces the full solve
-        let resumed = conjugate_gradients_resume(&op, &b, &cfg, &snaps[1]);
+        let resumed = conjugate_gradients_with(
+            &op,
+            &b,
+            &cfg,
+            CgRun {
+                resume: Some(&snaps[1]),
+                ..CgRun::default()
+            },
+        );
         assert_eq!(resumed.x, r.x);
         assert_eq!(resumed.iterations, r.iterations);
         // attaching a sink must not perturb the numerics
         let plain = conjugate_gradients(&op, &b, &cfg);
         assert_eq!(plain.x, r.x);
+    }
+
+    #[test]
+    fn every_run_combination_matches_the_plain_or_jacobi_solve() {
+        use crate::trace::Telemetry;
+        use std::sync::Mutex;
+        struct Collect(Mutex<Vec<usize>>);
+        impl CheckpointSink<f64> for Collect {
+            fn persist(&self, state: &CgState<f64>) {
+                self.0.lock().unwrap().push(state.iterations());
+            }
+        }
+        let n = 40;
+        let op = random_spd(n, 23);
+        let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.41).cos() + 0.2).collect();
+        let diag: Vec<f64> = (0..n).map(|i| op.a[i * n + i]).collect();
+        let cfg = CgConfig {
+            epsilon: 1e-12,
+            checkpoint_interval: Some(3),
+            residual_refresh_interval: 7,
+            ..CgConfig::default()
+        };
+        for mask in 0u8..16 {
+            let (jacobi, resume, metrics, sink) =
+                (mask & 1 != 0, mask & 2 != 0, mask & 4 != 0, mask & 8 != 0);
+            let diagonal = jacobi.then_some(&diag[..]);
+            // the matching plain or Jacobi solve without any extras
+            let reference = conjugate_gradients_with(
+                &op,
+                &b,
+                &cfg,
+                CgRun {
+                    diagonal,
+                    ..CgRun::default()
+                },
+            );
+            assert!(
+                reference.converged && reference.iterations > 5,
+                "{mask:04b}"
+            );
+            let state = resume.then(|| {
+                let stopped = CgConfig {
+                    max_iterations: Some(5),
+                    ..cfg
+                };
+                let run = CgRun {
+                    diagonal,
+                    ..CgRun::default()
+                };
+                conjugate_gradients_with(&op, &b, &stopped, run)
+                    .checkpoint
+                    .expect("checkpoint requested")
+            });
+            let telemetry = Telemetry::new();
+            let collect = Collect(Mutex::new(Vec::new()));
+            let got = conjugate_gradients_with(
+                &op,
+                &b,
+                &cfg,
+                CgRun {
+                    diagonal,
+                    metrics: metrics.then_some(&telemetry as &dyn MetricsSink),
+                    resume: state.as_ref(),
+                    sink: sink.then_some(&collect as &dyn CheckpointSink<f64>),
+                },
+            );
+            assert_eq!(got.x, reference.x, "{mask:04b}");
+            assert_eq!(got.iterations, reference.iterations, "{mask:04b}");
+            assert_eq!(got.residual_norm, reference.residual_norm, "{mask:04b}");
+            let first = if resume { 6 } else { 3 };
+            let expected: Vec<usize> = (first..=got.iterations).step_by(3).collect();
+            let persisted = collect.0.into_inner().unwrap();
+            assert_eq!(
+                persisted,
+                if sink { expected } else { vec![] },
+                "{mask:04b}"
+            );
+            let recorded = telemetry.report().iterations();
+            let resumed_from = if resume { 5 } else { 0 };
+            let want = if metrics {
+                got.iterations - resumed_from
+            } else {
+                0
+            };
+            assert_eq!(recorded, want, "{mask:04b}");
+        }
     }
 
     #[test]
@@ -1287,8 +1362,24 @@ mod tests {
             checkpoint_interval: Some(1),
             ..CgConfig::default()
         };
-        let a = conjugate_gradients_resume(&op, &b, &full, &state);
-        let b2 = conjugate_gradients_resume(&op, &b, &full, &rebuilt);
+        let a = conjugate_gradients_with(
+            &op,
+            &b,
+            &full,
+            CgRun {
+                resume: Some(&state),
+                ..CgRun::default()
+            },
+        );
+        let b2 = conjugate_gradients_with(
+            &op,
+            &b,
+            &full,
+            CgRun {
+                resume: Some(&rebuilt),
+                ..CgRun::default()
+            },
+        );
         assert_eq!(a.x, b2.x);
     }
 

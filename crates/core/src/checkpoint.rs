@@ -298,13 +298,11 @@ pub fn load_resume_point<T: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use crate::trace::Telemetry;
 
-    fn tempdir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("plssvm_core_ckpt_{}_{}", tag, std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
+    fn tempdir(tag: &str) -> ScratchDir {
+        ScratchDir::new(&format!("core-ckpt-{tag}"))
     }
 
     fn state(n: usize, seed: f64) -> CgState<f64> {
@@ -336,7 +334,7 @@ mod tests {
     #[test]
     fn sink_roundtrips_through_load_resume_point() {
         let dir = tempdir("roundtrip");
-        let journal = CheckpointJournal::open(&dir, 3).unwrap();
+        let journal = CheckpointJournal::open(dir.path(), 3).unwrap();
         let ctx = ContextFingerprint::new().push_str("test").finish();
         let t = Telemetry::shared();
         let sink = JournalSink::new(journal.clone(), ctx, Some(t.clone()));
@@ -358,22 +356,20 @@ mod tests {
             .recovery
             .iter()
             .any(|s| s.detail.contains("resuming from checkpoint generation 1")));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn empty_journal_resumes_as_fresh_start() {
         let dir = tempdir("empty");
-        let journal = CheckpointJournal::open(&dir, 3).unwrap();
+        let journal = CheckpointJournal::open(dir.path(), 3).unwrap();
         let got = load_resume_point::<f64>(&journal, 1, 5, None).unwrap();
         assert!(got.is_none());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn context_and_dimension_mismatches_are_hard_errors() {
         let dir = tempdir("mismatch");
-        let journal = CheckpointJournal::open(&dir, 3).unwrap();
+        let journal = CheckpointJournal::open(dir.path(), 3).unwrap();
         let sink = JournalSink::new(journal.clone(), 42, None);
         RungCheckpointSink::persist(&sink, 0, &state(5, 1.0));
 
@@ -389,13 +385,12 @@ mod tests {
             }
             other => panic!("expected dimension mismatch, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn non_finite_snapshot_is_skipped_not_written() {
         let dir = tempdir("nonfinite");
-        let journal = CheckpointJournal::open(&dir, 3).unwrap();
+        let journal = CheckpointJournal::open(dir.path(), 3).unwrap();
         let t = Telemetry::shared();
         let sink = JournalSink::new(journal.clone(), 1, Some(t.clone()));
         let mut bad = state(4, 1.0);
@@ -415,13 +410,12 @@ mod tests {
             .recovery
             .iter()
             .any(|s| s.detail.contains("non-finite")));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn all_generations_damaged_is_a_structured_error() {
         let dir = tempdir("alldamaged");
-        let journal = CheckpointJournal::open(&dir, 3).unwrap();
+        let journal = CheckpointJournal::open(dir.path(), 3).unwrap();
         let sink = JournalSink::new(journal.clone(), 7, None);
         RungCheckpointSink::persist(&sink, 0, &state(4, 1.0));
         // corrupt the only generation
@@ -435,6 +429,5 @@ mod tests {
             Err(SvmError::Solver(msg)) => assert!(msg.contains("none are loadable")),
             other => panic!("expected structured error, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

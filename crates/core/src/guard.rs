@@ -38,7 +38,7 @@
 use plssvm_data::Real;
 
 use crate::cg::{
-    conjugate_gradients_checkpointed, BreakdownKind, CgConfig, CgResult, CgState,
+    conjugate_gradients_with, BreakdownKind, CgConfig, CgResult, CgRun, CgState,
     CheckpointSink as CgCheckpointSink, LinOp, SolveOutcome,
 };
 use crate::kernel::dot;
@@ -199,60 +199,75 @@ fn true_residual_norm<T: Real>(op: &dyn LinOp<T>, b: &[T], x: &[T]) -> f64 {
         .sqrt()
 }
 
+/// Everything a guarded solve takes besides the system and the CG
+/// configuration, passed to [`solve_with_guardrails`].
+/// `GuardedRun::default()` engages the default [`RecoveryPolicy`] with no
+/// diagonal, no telemetry and no checkpointing.
+pub struct GuardedRun<'a, T> {
+    /// Which escalation rungs may engage.
+    pub policy: RecoveryPolicy,
+    /// Where rung 2 gets its Jacobi diagonal from;
+    /// [`JacobiDiagonal::Immediate`] preconditions the first attempt too.
+    pub jacobi: JacobiDiagonal<'a, T>,
+    /// Telemetry sink for every inner solve, the recovery events and the
+    /// consolidated [`CgOutcomeSample`].
+    pub metrics: Option<&'a dyn MetricsSink>,
+    /// Receives every periodic [`CgState`] snapshot the inner solves
+    /// produce, tagged with the escalation rung that was active — so a
+    /// crash-recovery journal can restore not just the iterate but the
+    /// ladder position.
+    pub sink: Option<&'a dyn RungCheckpointSink<T>>,
+    /// A previously persisted snapshot: rungs *below* `resume.rung` are
+    /// skipped entirely (they already ran before the crash) and the
+    /// matching rung continues from the saved state instead of
+    /// restarting, which keeps an interrupted rung-0 solve bit-exact with
+    /// an uninterrupted one.
+    pub resume: Option<&'a ResumePoint<T>>,
+}
+
+impl<T> Default for GuardedRun<'_, T> {
+    fn default() -> Self {
+        Self {
+            policy: RecoveryPolicy::default(),
+            jacobi: JacobiDiagonal::Unavailable,
+            metrics: None,
+            sink: None,
+            resume: None,
+        }
+    }
+}
+
 /// Solves `A·x = b`, escalating through the recovery ladder on
 /// non-convergence.
 ///
-/// The first attempt is exactly
-/// [`crate::cg::conjugate_gradients_with_metrics`] (or the Jacobi variant
-/// when `jacobi` is [`JacobiDiagonal::Immediate`]) — bit-identical to an
-/// unguarded solve. Only when that attempt comes back non-converged do
-/// the policy's rungs engage, each restarting from the best iterate so
-/// far with the relative-residual criterion still measured against the
-/// **original** `‖b‖`.
+/// The first attempt is exactly [`crate::cg::conjugate_gradients_with`]
+/// with `run.metrics` (and the diagonal when `run.jacobi` is
+/// [`JacobiDiagonal::Immediate`]) — bit-identical to an unguarded solve.
+/// Only when that attempt comes back non-converged do the policy's rungs
+/// engage, each restarting from the best iterate so far with the
+/// relative-residual criterion still measured against the **original**
+/// `‖b‖`.
 ///
 /// The consolidated outcome (final classification, total iterations
-/// across rungs, final relative residual) is recorded to `metrics` as the
-/// run's [`CgOutcomeSample`].
+/// across rungs, final relative residual) is recorded to `run.metrics` as
+/// the run's [`CgOutcomeSample`].
 ///
 /// # Panics
-/// The contract of [`crate::cg::conjugate_gradients_with_metrics`];
-/// additionally a [`JacobiDiagonal::Immediate`] diagonal must be strictly
-/// positive.
+/// The contract of [`crate::cg::conjugate_gradients_with`]; in particular
+/// a [`JacobiDiagonal::Immediate`] diagonal must be strictly positive.
 pub fn solve_with_guardrails<T: Real>(
     op: &dyn LinOp<T>,
     b: &[T],
     config: &CgConfig<T>,
-    policy: &RecoveryPolicy,
-    jacobi: JacobiDiagonal<'_, T>,
-    metrics: Option<&dyn MetricsSink>,
+    run: GuardedRun<'_, T>,
 ) -> GuardedSolve<T> {
-    solve_with_guardrails_checkpointed(op, b, config, policy, jacobi, metrics, None, None)
-}
-
-/// [`solve_with_guardrails`] with durable-checkpoint plumbing.
-///
-/// `sink`, when present, receives every periodic [`CgState`] snapshot the
-/// inner solves produce, tagged with the escalation rung that was active
-/// — so a crash-recovery journal can restore not just the iterate but the
-/// ladder position. `resume`, when present, is a previously persisted
-/// snapshot: rungs *below* `resume.rung` are skipped entirely (they
-/// already ran before the crash) and the matching rung continues from the
-/// saved state instead of restarting, which keeps an interrupted rung-0
-/// solve bit-exact with an uninterrupted one.
-///
-/// With `sink = None` and `resume = None` this is exactly
-/// [`solve_with_guardrails`].
-#[allow(clippy::too_many_arguments)]
-pub fn solve_with_guardrails_checkpointed<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    config: &CgConfig<T>,
-    policy: &RecoveryPolicy,
-    jacobi: JacobiDiagonal<'_, T>,
-    metrics: Option<&dyn MetricsSink>,
-    sink: Option<&dyn RungCheckpointSink<T>>,
-    resume: Option<&ResumePoint<T>>,
-) -> GuardedSolve<T> {
+    let GuardedRun {
+        policy,
+        jacobi,
+        metrics,
+        sink,
+        resume,
+    } = run;
     let delta0 = dot(b, b);
     let initial_diag: Option<&[T]> = match &jacobi {
         JacobiDiagonal::Immediate(d) => Some(d),
@@ -284,15 +299,13 @@ pub fn solve_with_guardrails_checkpointed<T: Real>(
     } else {
         let adapter = adapter_for(rungs::PRIMARY);
         let resumed = resume_state_for(rungs::PRIMARY);
-        conjugate_gradients_checkpointed(
-            op,
-            b,
-            config,
-            initial_diag,
+        let run = CgRun {
+            diagonal: initial_diag,
             metrics,
-            resumed.as_ref(),
-            adapter.as_ref().map(|a| a as &dyn CgCheckpointSink<T>),
-        )
+            resume: resumed.as_ref(),
+            sink: adapter.as_ref().map(|a| a as &dyn CgCheckpointSink<T>),
+        };
+        conjugate_gradients_with(op, b, config, run)
     };
     let mut total_iterations = result.iterations;
     let mut escalations = Vec::new();
@@ -338,15 +351,13 @@ pub fn solve_with_guardrails_checkpointed<T: Real>(
             }
         };
         let adapter = adapter_for(rungs::RESTART);
-        result = conjugate_gradients_checkpointed(
-            op,
-            b,
-            config,
-            initial_diag,
+        let run = CgRun {
+            diagonal: initial_diag,
             metrics,
-            Some(&state),
-            adapter.as_ref().map(|a| a as &dyn CgCheckpointSink<T>),
-        );
+            resume: Some(&state),
+            sink: adapter.as_ref().map(|a| a as &dyn CgCheckpointSink<T>),
+        };
+        result = conjugate_gradients_with(op, b, config, run);
         total_iterations += result.iterations;
         consider(&result, &mut best);
     }
@@ -383,15 +394,13 @@ pub fn solve_with_guardrails_checkpointed<T: Real>(
                     }
                 };
                 let adapter = adapter_for(rungs::JACOBI);
-                result = conjugate_gradients_checkpointed(
-                    op,
-                    b,
-                    config,
-                    Some(&diag),
+                let run = CgRun {
+                    diagonal: Some(&diag),
                     metrics,
-                    Some(&state),
-                    adapter.as_ref().map(|a| a as &dyn CgCheckpointSink<T>),
-                );
+                    resume: Some(&state),
+                    sink: adapter.as_ref().map(|a| a as &dyn CgCheckpointSink<T>),
+                };
+                result = conjugate_gradients_with(op, b, config, run);
                 total_iterations += result.iterations;
                 consider(&result, &mut best);
                 owned_diag = Some(diag);
@@ -424,7 +433,7 @@ pub fn solve_with_guardrails_checkpointed<T: Real>(
             op,
             b,
             config,
-            policy,
+            &policy,
             diag,
             x_start,
             adapter.as_ref().map(|a| a as &dyn CgCheckpointSink<T>),
@@ -563,8 +572,11 @@ fn iterative_refinement<T: Real>(
             ));
         }
         let rhs: Vec<T> = r64.iter().map(|&v| T::from_f64(v / rnorm)).collect();
-        let inner =
-            conjugate_gradients_checkpointed(op, &rhs, &inner_config, diagonal, None, None, None);
+        let run = CgRun {
+            diagonal,
+            ..CgRun::default()
+        };
+        let inner = conjugate_gradients_with(op, &rhs, &inner_config, run);
         inner_iterations += inner.iterations;
         if inner.x.iter().any(|v| !v.is_finite()) {
             outcome = SolveOutcome::Breakdown(BreakdownKind::NonFinite);
@@ -699,14 +711,7 @@ mod tests {
         let op = random_spd(n, 5);
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
         let cfg = CgConfig::with_epsilon(1e-10);
-        let guarded = solve_with_guardrails(
-            &op,
-            &b,
-            &cfg,
-            &RecoveryPolicy::default(),
-            JacobiDiagonal::Unavailable,
-            None,
-        );
+        let guarded = solve_with_guardrails(&op, &b, &cfg, GuardedRun::default());
         let plain = conjugate_gradients(&op, &b, &cfg);
         assert_eq!(guarded.result.x, plain.x);
         assert_eq!(guarded.total_iterations, plain.iterations);
@@ -726,9 +731,10 @@ mod tests {
             &op,
             &[1.0; 4],
             &CgConfig::with_epsilon(1e-6),
-            &RecoveryPolicy::disabled(),
-            JacobiDiagonal::Unavailable,
-            None,
+            GuardedRun {
+                policy: RecoveryPolicy::disabled(),
+                ..GuardedRun::default()
+            },
         );
         assert_eq!(
             guarded.outcome(),
@@ -752,9 +758,10 @@ mod tests {
             &op,
             &[1.0; 4],
             &CgConfig::with_epsilon(1e-6),
-            &RecoveryPolicy::default(),
-            JacobiDiagonal::Lazy(&make_diag),
-            None,
+            GuardedRun {
+                jacobi: JacobiDiagonal::Lazy(&make_diag),
+                ..GuardedRun::default()
+            },
         );
         assert_eq!(
             guarded.outcome(),
@@ -785,9 +792,11 @@ mod tests {
             &op,
             &b,
             &cfg,
-            &RecoveryPolicy::default(),
-            JacobiDiagonal::Lazy(&make_diag),
-            Some(&t),
+            GuardedRun {
+                jacobi: JacobiDiagonal::Lazy(&make_diag),
+                metrics: Some(&t),
+                ..GuardedRun::default()
+            },
         );
         assert_eq!(guarded.outcome(), SolveOutcome::Converged);
         assert!(guarded.escalations.contains(&RecoveryKind::Precondition));
@@ -852,9 +861,11 @@ mod tests {
             &op32,
             &b32,
             &cfg,
-            &RecoveryPolicy::default(),
-            JacobiDiagonal::Lazy(&make_diag),
-            Some(&t),
+            GuardedRun {
+                jacobi: JacobiDiagonal::Lazy(&make_diag),
+                metrics: Some(&t),
+                ..GuardedRun::default()
+            },
         );
         assert_eq!(
             guarded.outcome(),
@@ -912,15 +923,15 @@ mod tests {
         };
         let make_diag = || diag.clone();
         let sink = Collect::new();
-        let guarded = solve_with_guardrails_checkpointed(
+        let guarded = solve_with_guardrails(
             &op,
             &b,
             &cfg,
-            &RecoveryPolicy::default(),
-            JacobiDiagonal::Lazy(&make_diag),
-            None,
-            Some(&sink),
-            None,
+            GuardedRun {
+                jacobi: JacobiDiagonal::Lazy(&make_diag),
+                sink: Some(&sink),
+                ..GuardedRun::default()
+            },
         );
         assert_eq!(guarded.outcome(), SolveOutcome::Converged);
         let seen = sink.0.lock().unwrap();
@@ -948,15 +959,15 @@ mod tests {
         };
         let make_diag = || diag.clone();
         let sink = Collect::new();
-        let full = solve_with_guardrails_checkpointed(
+        let full = solve_with_guardrails(
             &op,
             &b,
             &cfg,
-            &RecoveryPolicy::default(),
-            JacobiDiagonal::Lazy(&make_diag),
-            None,
-            Some(&sink),
-            None,
+            GuardedRun {
+                jacobi: JacobiDiagonal::Lazy(&make_diag),
+                sink: Some(&sink),
+                ..GuardedRun::default()
+            },
         );
         assert_eq!(full.outcome(), SolveOutcome::Converged);
         let snapshots = sink.0.lock().unwrap();
@@ -968,15 +979,15 @@ mod tests {
 
         // Resume from the mid-jacobi snapshot: rungs 0–1 must not rerun.
         let resume = ResumePoint { rung, state };
-        let resumed = solve_with_guardrails_checkpointed(
+        let resumed = solve_with_guardrails(
             &op,
             &b,
             &cfg,
-            &RecoveryPolicy::default(),
-            JacobiDiagonal::Lazy(&make_diag),
-            None,
-            None,
-            Some(&resume),
+            GuardedRun {
+                jacobi: JacobiDiagonal::Lazy(&make_diag),
+                resume: Some(&resume),
+                ..GuardedRun::default()
+            },
         );
         assert_eq!(resumed.outcome(), SolveOutcome::Converged);
         assert_eq!(
@@ -1001,30 +1012,28 @@ mod tests {
             ..CgConfig::default()
         };
         let sink = Collect::new();
-        let full = solve_with_guardrails_checkpointed(
+        let full = solve_with_guardrails(
             &op,
             &b,
             &cfg,
-            &RecoveryPolicy::default(),
-            JacobiDiagonal::Unavailable,
-            None,
-            Some(&sink),
-            None,
+            GuardedRun {
+                sink: Some(&sink),
+                ..GuardedRun::default()
+            },
         );
         assert_eq!(full.outcome(), SolveOutcome::Converged);
         let snapshots = sink.0.lock().unwrap();
         let (rung, state) = snapshots.last().expect("periodic snapshots taken").clone();
         assert_eq!(rung, rungs::PRIMARY);
         let resume = ResumePoint { rung, state };
-        let resumed = solve_with_guardrails_checkpointed(
+        let resumed = solve_with_guardrails(
             &op,
             &b,
             &cfg,
-            &RecoveryPolicy::default(),
-            JacobiDiagonal::Unavailable,
-            None,
-            None,
-            Some(&resume),
+            GuardedRun {
+                resume: Some(&resume),
+                ..GuardedRun::default()
+            },
         );
         assert_eq!(resumed.result.x, full.result.x, "resume must be bit-exact");
         assert!(resumed.escalations.is_empty());
@@ -1041,14 +1050,7 @@ mod tests {
             max_iterations: Some(8),
             ..CgConfig::default()
         };
-        let guarded = solve_with_guardrails(
-            &op,
-            &b,
-            &cfg,
-            &RecoveryPolicy::default(),
-            JacobiDiagonal::Unavailable,
-            None,
-        );
+        let guarded = solve_with_guardrails(&op, &b, &cfg, GuardedRun::default());
         assert!(!guarded
             .escalations
             .contains(&RecoveryKind::PrecisionEscalation));

@@ -31,6 +31,9 @@ pub mod model_selection;
 pub mod multiclass;
 pub mod regression;
 pub mod resilience;
+#[cfg(test)]
+#[path = "../tests/scratch/mod.rs"]
+mod scratch;
 pub mod simd;
 pub mod svm;
 pub mod timing;

@@ -55,9 +55,12 @@ use plssvm_data::model::KernelSpec;
 use plssvm_data::sampling::{sample_uniform, sample_weighted};
 use plssvm_data::Real;
 
+use plssvm_simgpu::device::AtomicScalar;
+
+use crate::backend::Prepared;
 use crate::cg::{BreakdownKind, CgConfig, CgResult, LinOp, SolveOutcome};
 use crate::error::SvmError;
-use crate::guard::{solve_with_guardrails, GuardedSolve, JacobiDiagonal, RecoveryPolicy};
+use crate::guard::{solve_with_guardrails, GuardedRun, GuardedSolve};
 use crate::kernel::{dot, kernel_panel, PANEL_MR, PANEL_NR};
 use crate::matrix_free::QTildeParams;
 use crate::trace::{
@@ -103,6 +106,18 @@ impl std::str::FromStr for LandmarkStrategy {
             )),
         }
     }
+}
+
+/// The landmark draw of one low-rank solve: the fields of
+/// [`SolverSelection::LowRank`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LandmarkDraw {
+    /// Target rank `k`.
+    pub rank: usize,
+    /// Landmark-selection seed.
+    pub seed: u64,
+    /// Landmark-selection strategy.
+    pub strategy: LandmarkStrategy,
 }
 
 /// Which solver the training drivers run (the CLI's `--solver` switch).
@@ -475,28 +490,29 @@ fn emit(metrics: Option<&dyn MetricsSink>, kind: RecoveryKind, iteration: usize,
 /// ([`RecoveryKind::Precondition`], [`RecoveryKind::SolverFallback`])
 /// before any rungs of the exact ladder.
 ///
-/// `op` must be the **exact** `Q̃` operator for `params` (it verifies and,
-/// when needed, polishes the approximate solve); `data` holds the training
-/// points row-major with `params.dim() + 1` rows. A `rank` of 0 is
-/// rejected with [`SvmError::Solver`]; ranks above `params.dim()` are
-/// clamped.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_lowrank<T: Real>(
-    op: &dyn LinOp<T>,
-    params: &QTildeParams<T>,
+/// `op` is the backend prepared for the training set: its exact `Q̃`
+/// verifies and, when needed, polishes the approximate solve. `data` holds
+/// the training points row-major with `op.params().dim() + 1` rows. A
+/// `draw.rank` of 0 is rejected with [`SvmError::Solver`]; ranks above the
+/// reduced dimension are clamped. `run` configures the exact ladder the
+/// solve falls back to.
+pub fn solve_lowrank<T: AtomicScalar>(
+    op: &Prepared<T>,
     data: &DenseMatrix<T>,
     kernel: &KernelSpec<T>,
-    rank: usize,
-    seed: u64,
-    strategy: LandmarkStrategy,
+    draw: LandmarkDraw,
     b: &[T],
     config: &CgConfig<T>,
-    policy: &RecoveryPolicy,
-    jacobi: JacobiDiagonal<'_, T>,
-    metrics: Option<&dyn MetricsSink>,
+    run: GuardedRun<'_, T>,
 ) -> Result<GuardedSolve<T>, SvmError> {
+    let LandmarkDraw {
+        rank,
+        seed,
+        strategy,
+    } = draw;
+    let params = op.params();
+    let metrics = run.metrics;
     let n = params.dim();
-    assert_eq!(op.dim(), n, "operator dimension must match the parameters");
     assert_eq!(b.len(), n, "right-hand side length must match the system");
     assert!(
         data.rows() == n + 1,
@@ -567,7 +583,7 @@ pub fn solve_lowrank<T: Real>(
                 solve_wall: std::time::Duration::ZERO,
             });
         }
-        let guarded = solve_with_guardrails(op, b, config, policy, jacobi, metrics);
+        let guarded = solve_with_guardrails(op, b, config, run);
         let mut escalations = vec![RecoveryKind::SolverFallback];
         escalations.extend(guarded.escalations.iter().copied());
         return Ok(GuardedSolve {
@@ -734,7 +750,7 @@ pub fn solve_lowrank<T: Real>(
         ),
     );
     escalations.push(RecoveryKind::SolverFallback);
-    let guarded = solve_with_guardrails(op, b, config, policy, jacobi, metrics);
+    let guarded = solve_with_guardrails(op, b, config, run);
     escalations.extend(guarded.escalations.iter().copied());
     Ok(GuardedSolve {
         result: guarded.result,
@@ -768,19 +784,23 @@ mod tests {
     ) -> Result<GuardedSolve<f64>, SvmError> {
         let op = prepared(data, kernel, 2.0);
         let rhs = crate::matrix_free::reduced_rhs(y);
+        let draw = LandmarkDraw {
+            rank,
+            seed: DEFAULT_SEED,
+            strategy,
+        };
+        let run = GuardedRun {
+            metrics,
+            ..GuardedRun::default()
+        };
         solve_lowrank(
             &op,
-            op.params(),
             data,
             kernel,
-            rank,
-            DEFAULT_SEED,
-            strategy,
+            draw,
             &rhs,
             &CgConfig::with_epsilon(1e-8),
-            &RecoveryPolicy::default(),
-            JacobiDiagonal::Unavailable,
-            metrics,
+            run,
         )
     }
 

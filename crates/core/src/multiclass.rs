@@ -409,6 +409,7 @@ pub fn train_multiclass_with_outcomes<T: AtomicScalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use plssvm_data::model::KernelSpec;
     use plssvm_data::synthetic::{generate_blobs, BlobsConfig};
     use plssvm_simgpu::{hw, Backend as DeviceApi};
@@ -481,13 +482,11 @@ mod tests {
     fn container_file_roundtrip() {
         let data = blobs(3, 6);
         let model = train_multiclass(&data, &trainer(), MultiClassStrategy::OneVsOne).unwrap();
-        let dir = std::env::temp_dir().join("plssvm_multiclass_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("multiclass-test");
         let path = dir.join("blobs.model");
         model.save(&path).unwrap();
         let back = MultiClassModel::<f64>::load(&path).unwrap();
         assert_eq!(model, back);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -544,9 +543,8 @@ mod tests {
     fn journaled_multiclass_uses_per_task_journals_and_resumes() {
         use plssvm_data::CheckpointJournal;
         let data = blobs(3, 9);
-        let dir = std::env::temp_dir().join(format!("plssvm_mc_journal_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let journal = CheckpointJournal::open(&dir, 3).unwrap();
+        let dir = ScratchDir::new("mc-journal");
+        let journal = CheckpointJournal::open(dir.path(), 3).unwrap();
         let reference = train_multiclass(&data, &trainer(), MultiClassStrategy::OneVsOne).unwrap();
         let journaled_trainer = trainer()
             .with_checkpoint_interval(3)
@@ -567,7 +565,6 @@ mod tests {
         let resumed =
             train_multiclass(&data, &resumed_trainer, MultiClassStrategy::OneVsOne).unwrap();
         assert_eq!(reference, resumed);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

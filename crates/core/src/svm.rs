@@ -1,5 +1,10 @@
 //! The public LS-SVM training and prediction API.
 //!
+//! One pipeline trains both problems the reduced system covers:
+//! classification on ±1 labels ([`LabeledData`]) and LS-SVR on real
+//! targets ([`plssvm_data::libsvm::RegressionData`], see
+//! [`crate::regression`]).
+//!
 //! Training follows the paper's four steps (§III): (1) read the training
 //! data, (2) transform it into the padded SoA layout and load it onto the
 //! device, (3) solve the reduced system `Q̃·α̃ = ȳ − y_m·1` with CG on the
@@ -8,14 +13,14 @@
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
 use plssvm_data::dense::{DenseMatrix, SoAMatrix};
 use plssvm_data::libsvm::{read_libsvm_file, LabeledData};
 use plssvm_data::model::{KernelSpec, SvmModel};
-use plssvm_data::Real;
+use plssvm_data::{DataError, Real, RealVfs, Vfs};
 use plssvm_simgpu::device::AtomicScalar;
 use plssvm_simgpu::FaultPlan;
 
@@ -26,16 +31,18 @@ use crate::cg::{CgConfig, SolveOutcome};
 use crate::checkpoint::{load_resume_point, ContextFingerprint, JournalSink};
 use crate::error::SvmError;
 use crate::guard::{
-    solve_with_guardrails_checkpointed, GuardedSolve, JacobiDiagonal, RecoveryPolicy,
+    solve_with_guardrails, GuardedRun, GuardedSolve, JacobiDiagonal, RecoveryPolicy,
     RungCheckpointSink,
 };
 use crate::kernel::kernel_row;
-use crate::lowrank::{solve_lowrank, SolverSelection};
+use crate::lowrank::{solve_lowrank, LandmarkDraw, SolverSelection};
 use crate::matrix_free::{bias, full_alpha, reduced_rhs};
 use crate::timing::ComponentTimes;
 use crate::trace::{spans, MetricsSink, RecoveryKind, SpanRecorder, Telemetry, TelemetryReport};
 
-/// LS-SVM trainer configuration (builder style).
+/// LS-SVM trainer configuration (builder style) — the trainer of both
+/// classification and regression ([`crate::regression::LsSvr`] is an
+/// alias).
 ///
 /// Defaults mirror PLSSVM's command line: linear kernel, `C = 1`,
 /// `ε = 1e-3` relative residual, the multi-threaded CPU backend.
@@ -264,9 +271,26 @@ impl<T: AtomicScalar> LsSvm<T> {
         self
     }
 
-    /// Trains on an in-memory data set (the `read` component is zero).
-    pub fn train(&self, data: &LabeledData<T>) -> Result<TrainOutput<T>, SvmError> {
-        self.train_inner(data, std::time::Duration::ZERO, None)
+    /// Trains on an in-memory data set: ±1-labelled [`LabeledData`]
+    /// trains a classifier, real-valued
+    /// [`RegressionData`](plssvm_data::libsvm::RegressionData) an LS-SVR
+    /// (the `read` component is zero).
+    pub fn train<P: TrainProblem<T>>(
+        &self,
+        data: &P,
+    ) -> Result<TrainOutput<T, P::Model>, SvmError> {
+        self.run(data, Duration::ZERO, None)
+    }
+
+    /// [`LsSvm::train`] on data the caller has already parsed, crediting
+    /// `read` as the time the parse took (the `read` component and the
+    /// `train/read` span).
+    pub fn train_parsed<P: TrainProblem<T>>(
+        &self,
+        data: &P,
+        read: Duration,
+    ) -> Result<TrainOutput<T, P::Model>, SvmError> {
+        self.run(data, read, None)
     }
 
     /// Trains from a LIBSVM data file, timing the `read` component, and
@@ -279,39 +303,48 @@ impl<T: AtomicScalar> LsSvm<T> {
         let t0 = Instant::now();
         let data = read_libsvm_file::<T>(train_path, None)?;
         let read = t0.elapsed();
-        self.train_inner(&data, read, model_path)
+        self.run(&data, read, model_path)
     }
 
     /// The fingerprint that must match between the run that wrote a
-    /// checkpoint and the run resuming from it: training data (features
-    /// *and* labels), kernel, cost, working precision, problem shape,
-    /// preconditioning mode, sample weights, plus the caller's salt.
-    fn checkpoint_context(&self, data: &LabeledData<T>) -> u64 {
-        let mut fp = ContextFingerprint::new()
+    /// checkpoint and the run resuming from it: the problem's tag,
+    /// training data (features *and* targets), kernel, cost, working
+    /// precision, problem shape, preconditioning mode, plus the caller's
+    /// salt.
+    fn checkpoint_context<P: TrainProblem<T>>(&self, data: &P) -> u64 {
+        let (x, y) = (data.x(), data.targets());
+        let mut fp = ContextFingerprint::new();
+        if let Some(tag) = P::FINGERPRINT_TAG {
+            fp = fp.push_str(tag);
+        }
+        fp = fp
             .push_kernel(&self.kernel)
             .push_f64(self.cost.to_f64())
             .push_u64(T::BYTES as u64)
-            .push_u64(data.points() as u64)
-            .push_u64(data.features() as u64)
+            .push_u64(x.rows() as u64)
+            .push_u64(x.cols() as u64)
             .push_u64(u64::from(self.jacobi_preconditioner))
             .push_u64(self.checkpoint_salt);
-        for p in 0..data.points() {
-            for &v in data.x.row(p) {
+        for (p, target) in y.iter().enumerate() {
+            for &v in x.row(p) {
                 fp = fp.push_f64(v.to_f64());
             }
-            fp = fp.push_f64(data.y[p].to_f64());
+            fp = fp.push_f64(target.to_f64());
         }
         fp.finish()
     }
 
-    fn train_inner(
+    /// The training pipeline shared by every problem (§III): transform,
+    /// device setup, the guarded (or low-rank) solve, model assembly.
+    fn run<P: TrainProblem<T>>(
         &self,
-        data: &LabeledData<T>,
-        read: std::time::Duration,
+        data: &P,
+        read: Duration,
         model_path: Option<&Path>,
-    ) -> Result<TrainOutput<T>, SvmError> {
+    ) -> Result<TrainOutput<T, P::Model>, SvmError> {
         let t_total = Instant::now();
-        if data.points() < 2 {
+        let (x, y) = (data.x(), data.targets());
+        if x.rows() < 2 {
             return Err(SvmError::Solver(
                 "training needs at least two data points".into(),
             ));
@@ -343,7 +376,7 @@ impl<T: AtomicScalar> LsSvm<T> {
             BackendSelection::SimGpu { tiling, .. }
             | BackendSelection::SimGpuRows { tiling, .. }
             | BackendSelection::SimCluster { tiling, .. } => {
-                Some(SoAMatrix::from_dense(&data.x, tiling.tile()))
+                Some(SoAMatrix::from_dense(x, tiling.tile()))
             }
             _ => None,
         });
@@ -351,7 +384,7 @@ impl<T: AtomicScalar> LsSvm<T> {
         // (2b + 3) device setup, upload and CG solve
         let t_cg = Instant::now();
         let t_setup = Instant::now();
-        let mut prepared = Prepared::new(&backend, &data.x, soa.as_ref(), &self.kernel, self.cost)?;
+        let mut prepared = Prepared::new(&backend, x, soa.as_ref(), &self.kernel, self.cost)?;
         if let Some(sink) = &self.metrics {
             prepared.set_metrics(Arc::clone(sink) as Arc<dyn MetricsSink>);
         }
@@ -359,16 +392,16 @@ impl<T: AtomicScalar> LsSvm<T> {
             prepared.install_fault_plan(plan)?;
         }
         if let Some(weights) = &self.sample_weights {
-            if weights.len() != data.points() {
+            if weights.len() != x.rows() {
                 return Err(SvmError::Solver(format!(
                     "{} sample weights for {} data points",
                     weights.len(),
-                    data.points()
+                    x.rows()
                 )));
             }
             prepared.set_sample_weights(weights, self.cost)?;
         }
-        let rhs = reduced_rhs(&data.y);
+        let rhs = reduced_rhs(y);
         rec.record(spans::CG_SETUP, t_setup.elapsed());
         let cg_cfg = CgConfig {
             epsilon: self.epsilon,
@@ -383,7 +416,7 @@ impl<T: AtomicScalar> LsSvm<T> {
             let params = prepared.params();
             (0..params.dim())
                 .map(|i| {
-                    kernel_row(&self.kernel, data.x.row(i), data.x.row(i)) + params.ridge(i)
+                    kernel_row(&self.kernel, x.row(i), x.row(i)) + params.ridge(i)
                         - T::TWO * params.q[i]
                         + params.q_mm()
                 })
@@ -397,7 +430,33 @@ impl<T: AtomicScalar> LsSvm<T> {
             // otherwise the diagonal is only computed if rung 2 engages
             None => JacobiDiagonal::Lazy(&compute_diagonal),
         };
-        let mut io_degraded = false;
+        // durable checkpointing (exact solver only): open the sink, and
+        // optionally the resume point, before the solve starts
+        let mut resume_point = None;
+        let journal_sink = match (&self.checkpoint_journal, self.solver) {
+            (Some(journal), SolverSelection::Exact) => {
+                let context = self.checkpoint_context(data);
+                if self.resume {
+                    resume_point =
+                        load_resume_point::<T>(journal, context, rhs.len(), metrics_ref)?;
+                }
+                let sink = self
+                    .metrics
+                    .as_ref()
+                    .map(|t| Arc::clone(t) as Arc<dyn MetricsSink>);
+                Some(JournalSink::new(journal.clone(), context, sink))
+            }
+            _ => None,
+        };
+        let run = GuardedRun {
+            policy: self.recovery_policy,
+            jacobi,
+            metrics: metrics_ref,
+            sink: journal_sink
+                .as_ref()
+                .map(|s| s as &dyn RungCheckpointSink<T>),
+            resume: resume_point.as_ref(),
+        };
         let GuardedSolve {
             result: solve,
             total_iterations,
@@ -407,84 +466,26 @@ impl<T: AtomicScalar> LsSvm<T> {
                 rank,
                 seed,
                 strategy,
-            } => solve_lowrank(
-                &prepared,
-                prepared.params(),
-                &data.x,
-                &self.kernel,
-                rank,
-                seed,
-                strategy,
-                &rhs,
-                &cg_cfg,
-                &self.recovery_policy,
-                jacobi,
-                metrics_ref,
-            )?,
-            SolverSelection::Exact => {
-                // durable checkpointing: open the sink (and optionally the
-                // resume point) before the solve starts
-                let mut resume_point = None;
-                let journal_sink = match &self.checkpoint_journal {
-                    Some(journal) => {
-                        let context = self.checkpoint_context(data);
-                        if self.resume {
-                            resume_point =
-                                load_resume_point::<T>(journal, context, rhs.len(), metrics_ref)?;
-                        }
-                        Some(JournalSink::new(
-                            journal.clone(),
-                            context,
-                            self.metrics
-                                .as_ref()
-                                .map(|t| Arc::clone(t) as Arc<dyn MetricsSink>),
-                        ))
-                    }
-                    None => None,
+            } => {
+                let draw = LandmarkDraw {
+                    rank,
+                    seed,
+                    strategy,
                 };
-                let guarded = solve_with_guardrails_checkpointed(
-                    &prepared,
-                    &rhs,
-                    &cg_cfg,
-                    &self.recovery_policy,
-                    jacobi,
-                    metrics_ref,
-                    journal_sink
-                        .as_ref()
-                        .map(|s| s as &dyn RungCheckpointSink<T>),
-                    resume_point.as_ref(),
-                );
-                io_degraded = journal_sink.as_ref().is_some_and(JournalSink::is_degraded);
-                guarded
+                solve_lowrank(&prepared, x, &self.kernel, draw, &rhs, &cg_cfg, run)?
             }
+            SolverSelection::Exact => solve_with_guardrails(&prepared, &rhs, &cg_cfg, run),
         };
+        let io_degraded = journal_sink.as_ref().is_some_and(JournalSink::is_degraded);
         rec.record(spans::CG_SOLVE, t_solve.elapsed());
         rec.record(spans::CG, t_cg.elapsed());
 
         // (4) assemble the model (and optionally write it)
         let t_write = Instant::now();
-        let b = bias(prepared.params(), &data.y, &solve.x);
-        let alpha = full_alpha(&solve.x);
-        // Eq. 15: for the linear kernel the explicit normal vector w is
-        // materialized (the paper's third compute kernel, `w_kernel`) so
-        // prediction costs O(d) per point instead of O(m·d)
-        let linear_w = if matches!(self.kernel, KernelSpec::Linear) {
-            prepared.compute_linear_w(&alpha)?
-        } else {
-            None
-        };
-        let (pos, neg) = data.class_counts();
-        let model = SvmModel {
-            kernel: self.kernel,
-            labels: data.label_map,
-            rho: -b,
-            sv: data.x.clone(),
-            coef: alpha,
-            nr_sv: [pos, neg],
-            solver: self.solver.provenance(),
-        };
+        let rho = -bias(prepared.params(), y, &solve.x);
+        let (model, linear_w) = data.assemble(self, &prepared, rho, full_alpha(&solve.x))?;
         if let Some(path) = model_path {
-            model.save(path)?;
+            P::save_with(&model, &RealVfs, path)?;
         }
         rec.record(spans::WRITE, t_write.elapsed());
         rec.record(spans::TRAIN, t_total.elapsed() + read);
@@ -517,11 +518,89 @@ impl<T: AtomicScalar> LsSvm<T> {
     }
 }
 
-/// Everything a training run produces.
+/// A training problem for the LS-SVM pipeline. Classification and
+/// regression solve the *same* reduced system `Q̃·α̃ = ȳ − y_m·1` (§III,
+/// §V); only the targets, the model assembly and the checkpoint
+/// fingerprint tag differ.
+pub trait TrainProblem<T: AtomicScalar> {
+    /// The model the problem trains.
+    type Model;
+    /// Folded into the checkpoint context fingerprint, so journals of
+    /// different problem kinds never resume each other.
+    const FINGERPRINT_TAG: Option<&'static str>;
+
+    /// The training points.
+    fn x(&self) -> &DenseMatrix<T>;
+
+    /// The targets `y`, one per point.
+    fn targets(&self) -> &[T];
+
+    /// Builds the model from the solved coefficients `coef` and `rho`
+    /// (`= −b`), plus the explicit normal vector `w` where the problem
+    /// materializes one.
+    fn assemble(
+        &self,
+        trainer: &LsSvm<T>,
+        prepared: &Prepared<T>,
+        rho: T,
+        coef: Vec<T>,
+    ) -> Result<(Self::Model, Option<Vec<T>>), SvmError>;
+
+    /// Writes the model file atomically through `vfs`.
+    fn save_with(model: &Self::Model, vfs: &dyn Vfs, path: &Path) -> Result<(), DataError>;
+}
+
+impl<T: AtomicScalar> TrainProblem<T> for LabeledData<T> {
+    type Model = SvmModel<T>;
+    const FINGERPRINT_TAG: Option<&'static str> = None;
+
+    fn x(&self) -> &DenseMatrix<T> {
+        &self.x
+    }
+
+    fn targets(&self) -> &[T] {
+        &self.y
+    }
+
+    fn assemble(
+        &self,
+        trainer: &LsSvm<T>,
+        prepared: &Prepared<T>,
+        rho: T,
+        coef: Vec<T>,
+    ) -> Result<(SvmModel<T>, Option<Vec<T>>), SvmError> {
+        // Eq. 15: for the linear kernel the explicit normal vector w is
+        // materialized (the paper's third compute kernel, `w_kernel`) so
+        // prediction costs O(d) per point instead of O(m·d)
+        let linear_w = if matches!(trainer.kernel, KernelSpec::Linear) {
+            prepared.compute_linear_w(&coef)?
+        } else {
+            None
+        };
+        let (pos, neg) = self.class_counts();
+        let model = SvmModel {
+            kernel: trainer.kernel,
+            labels: self.label_map,
+            rho,
+            sv: self.x.clone(),
+            coef,
+            nr_sv: [pos, neg],
+            solver: trainer.solver.provenance(),
+        };
+        Ok((model, linear_w))
+    }
+
+    fn save_with(model: &SvmModel<T>, vfs: &dyn Vfs, path: &Path) -> Result<(), DataError> {
+        model.save_with(vfs, path)
+    }
+}
+
+/// Everything a training run produces; `M` is the model type of the
+/// [`TrainProblem`] (an [`SvmModel`] for classification).
 #[derive(Debug)]
-pub struct TrainOutput<T> {
+pub struct TrainOutput<T, M = SvmModel<T>> {
     /// The trained model (all `m` training points as support vectors).
-    pub model: SvmModel<T>,
+    pub model: M,
     /// Component wall-clock timings.
     pub times: ComponentTimes,
     /// CG iterations performed (summed across all escalation rungs).
@@ -540,8 +619,8 @@ pub struct TrainOutput<T> {
     /// Human-readable backend description.
     pub backend_name: String,
     /// The explicit normal vector `w = Σᵢ αᵢ·xᵢ` (Eq. 15), materialized
-    /// for the linear kernel on every backend (the paper's `w_kernel` on
-    /// the simulated devices); enables O(d) prediction via
+    /// for linear-kernel classification on every backend (the paper's
+    /// `w_kernel` on the simulated devices); enables O(d) prediction via
     /// [`predict_linear`].
     pub linear_w: Option<Vec<T>>,
     /// Device counters (simulated backends only).
@@ -574,14 +653,8 @@ pub fn train<T: AtomicScalar>(
 /// Panics on a feature-count mismatch; long-lived callers that must never
 /// panic on untrusted query batches use [`try_predict_decision_values`].
 pub fn predict_decision_values<T: Real>(model: &SvmModel<T>, x: &DenseMatrix<T>) -> Vec<T> {
-    assert_eq!(
-        x.cols(),
-        model.features(),
-        "test data has {} features, model expects {}",
-        x.cols(),
-        model.features()
-    );
-    decision_values_panel(model, x)
+    assert_features(model.features(), x);
+    kernel_sweep(&model.kernel, &model.sv, &model.coef, model.bias(), x)
 }
 
 /// Fallible [`predict_decision_values`]: returns a structured
@@ -593,7 +666,13 @@ pub fn try_predict_decision_values<T: Real>(
     x: &DenseMatrix<T>,
 ) -> Result<Vec<T>, SvmError> {
     validate_query_batch(model.features(), x)?;
-    Ok(decision_values_panel(model, x))
+    Ok(kernel_sweep(
+        &model.kernel,
+        &model.sv,
+        &model.coef,
+        model.bias(),
+        x,
+    ))
 }
 
 /// Fallible [`predict_labels`] with the same validation as
@@ -633,34 +712,53 @@ pub(crate) fn validate_query_batch<T: Real>(
     Ok(())
 }
 
-/// The panel-microkernel decision-value sweep shared by the panicking and
-/// fallible entry points.
-fn decision_values_panel<T: Real>(model: &SvmModel<T>, x: &DenseMatrix<T>) -> Vec<T> {
+/// The panel-microkernel sweep `f(x) = Σᵢ coefᵢ·k(svᵢ, x) + bias` behind
+/// every classification and regression prediction entry point, computed
+/// in parallel over the rows of `x` (`PANEL_MR` support vectors per
+/// feature pass).
+pub(crate) fn kernel_sweep<T: Real>(
+    kernel: &KernelSpec<T>,
+    sv: &DenseMatrix<T>,
+    coef: &[T],
+    bias: T,
+    x: &DenseMatrix<T>,
+) -> Vec<T> {
     use crate::kernel::{kernel_panel, PANEL_MR};
-    let b = model.bias();
-    let m = model.sv.rows();
+    let m = sv.rows();
     let isa = crate::simd::Isa::select();
     (0..x.rows())
         .into_par_iter()
         .map(|p| {
             let row = x.row(p);
-            let mut acc = b;
+            let mut acc = bias;
             let mut i = 0;
             while i < m {
                 let h = (m - i).min(PANEL_MR);
                 let mut ra: [&[T]; PANEL_MR] = [row; PANEL_MR];
                 for (a, slot) in ra.iter_mut().enumerate().take(h) {
-                    *slot = model.sv.row(i + a);
+                    *slot = sv.row(i + a);
                 }
-                let panel = kernel_panel(&model.kernel, isa, &ra[..h], &[row]);
+                let panel = kernel_panel(kernel, isa, &ra[..h], &[row]);
                 for (a, prow) in panel.iter().enumerate().take(h) {
-                    acc = model.coef[i + a].mul_add(prow[0], acc);
+                    acc = coef[i + a].mul_add(prow[0], acc);
                 }
                 i += h;
             }
             acc
         })
         .collect()
+}
+
+/// Panics unless `x` has the model's feature count (the panicking
+/// prediction entry points).
+pub(crate) fn assert_features<T: Real>(model_features: usize, x: &DenseMatrix<T>) {
+    assert_eq!(
+        x.cols(),
+        model_features,
+        "test data has {} features, model expects {}",
+        x.cols(),
+        model_features
+    );
 }
 
 /// Predicted ±1 signs for every row of `x`.
@@ -726,6 +824,7 @@ pub fn accuracy<T: Real>(model: &SvmModel<T>, data: &LabeledData<T>) -> f64 {
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use plssvm_data::synthetic::{generate_planes, PlanesConfig};
     use plssvm_simgpu::hw;
     use plssvm_simgpu::Backend as DeviceApi;
@@ -842,22 +941,19 @@ mod tests {
     fn file_roundtrip_preserves_predictions() {
         let data = planes(40, 5, 6);
         let out = LsSvm::new().with_epsilon(1e-8).train(&data).unwrap();
-        let dir = std::env::temp_dir().join("plssvm_core_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("core-test");
         let path = dir.join("trained.model");
         out.model.save(&path).unwrap();
         let loaded = SvmModel::<f64>::load(&path).unwrap();
         let a = predict_labels(&out.model, &data.x);
         let b = predict_labels(&loaded, &data.x);
         assert_eq!(a, b);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn train_from_file_times_read_and_write() {
         let data = planes(30, 4, 7);
-        let dir = std::env::temp_dir().join("plssvm_core_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("core-test");
         let train_path = dir.join("train.libsvm");
         let model_path = dir.join("out.model");
         plssvm_data::write_libsvm_file(&train_path, &data, true).unwrap();
@@ -869,8 +965,6 @@ mod tests {
         assert!(out.times.cg.as_nanos() > 0);
         assert!(model_path.exists());
         assert!(out.times.total >= out.times.cg);
-        std::fs::remove_file(&train_path).ok();
-        std::fs::remove_file(&model_path).ok();
     }
 
     #[test]
@@ -1101,9 +1195,8 @@ mod tests {
     #[test]
     fn journaled_training_is_unperturbed_and_resumes_bit_exactly() {
         let data = planes(80, 6, 44);
-        let dir = std::env::temp_dir().join(format!("plssvm_svm_journal_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let journal = CheckpointJournal::open(&dir, 4).unwrap();
+        let dir = ScratchDir::new("svm-journal");
+        let journal = CheckpointJournal::open(dir.path(), 4).unwrap();
         let reference = LsSvm::new().with_epsilon(1e-10).train(&data).unwrap();
         let journaled = LsSvm::new()
             .with_epsilon(1e-10)
@@ -1130,15 +1223,13 @@ mod tests {
         // the iteration counter is absolute (it continues from the
         // snapshot), so the resumed run reports the same total
         assert_eq!(resumed.iterations, reference.iterations);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn resume_against_changed_context_is_rejected() {
         let data = planes(40, 4, 45);
-        let dir = std::env::temp_dir().join(format!("plssvm_svm_ctx_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let journal = CheckpointJournal::open(&dir, 2).unwrap();
+        let dir = ScratchDir::new("svm-ctx");
+        let journal = CheckpointJournal::open(dir.path(), 2).unwrap();
         LsSvm::new()
             .with_epsilon(1e-10)
             .with_checkpoint_interval(3)
@@ -1158,15 +1249,13 @@ mod tests {
             matches!(&err, SvmError::Checkpoint(e) if e.kind() == "context_mismatch"),
             "{err:?}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn resume_with_empty_journal_is_a_fresh_start() {
         let data = planes(30, 4, 46);
-        let dir = std::env::temp_dir().join(format!("plssvm_svm_fresh_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let journal = CheckpointJournal::open(&dir, 2).unwrap();
+        let dir = ScratchDir::new("svm-fresh");
+        let journal = CheckpointJournal::open(dir.path(), 2).unwrap();
         let reference = LsSvm::new().with_epsilon(1e-10).train(&data).unwrap();
         let out = LsSvm::new()
             .with_epsilon(1e-10)
@@ -1176,7 +1265,6 @@ mod tests {
             .train(&data)
             .unwrap();
         assert_eq!(out.model.coef, reference.model.coef);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1204,9 +1292,8 @@ mod tests {
     #[test]
     fn lowrank_resume_is_rejected_with_structured_error() {
         let data = planes(30, 4, 51);
-        let dir = std::env::temp_dir().join(format!("plssvm_svm_lr_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let journal = CheckpointJournal::open(&dir, 2).unwrap();
+        let dir = ScratchDir::new("svm-lr");
+        let journal = CheckpointJournal::open(dir.path(), 2).unwrap();
         let err = LsSvm::new()
             .with_solver(SolverSelection::lowrank(8))
             .with_checkpoint_journal(journal)
@@ -1217,7 +1304,6 @@ mod tests {
             matches!(&err, SvmError::Solver(msg) if msg.contains("resume")),
             "{err:?}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

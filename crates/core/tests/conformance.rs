@@ -7,6 +7,8 @@
 //! detail, not a math change) and across fault-injected runs (recovery
 //! must restore the exact computation, not an approximation of it).
 
+mod scratch;
+
 use std::sync::Arc;
 
 use plssvm_core::backend::{BackendSelection, CpuTilingConfig};
@@ -19,6 +21,7 @@ use plssvm_data::synthetic::{generate_planes, PlanesConfig};
 use plssvm_data::CheckpointJournal;
 use plssvm_simgpu::device::AtomicScalar;
 use plssvm_simgpu::{hw, Backend as DeviceApi, FaultPlan};
+use scratch::ScratchDir;
 
 fn planes<T: AtomicScalar>(points: usize, features: usize, seed: u64) -> LabeledData<T> {
     generate_planes(
@@ -366,18 +369,14 @@ fn checkpoint_journaling_never_perturbs_any_backend() {
     let data: LabeledData<f64> = planes(48, 6, 123);
     for (bname, backend) in cpu_and_device_backends(true) {
         let plain = train(backend.clone(), KernelSpec::Linear, &data, 1e-10);
-        let dir = std::env::temp_dir().join(format!(
-            "plssvm-conformance-journal-{}-{bname}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = ScratchDir::new(&format!("conformance-journal-{bname}"));
         let journaled_trainer = |resume: bool| {
             LsSvm::new()
                 .with_cost(2.0)
                 .with_epsilon(1e-10)
                 .with_backend(backend.clone())
                 .with_checkpoint_interval(4)
-                .with_checkpoint_journal(CheckpointJournal::open(&dir, 4).unwrap())
+                .with_checkpoint_journal(CheckpointJournal::open(dir.path(), 4).unwrap())
                 .with_resume(resume)
         };
         let journaled = journaled_trainer(false).train(&data).unwrap();
@@ -400,7 +399,6 @@ fn checkpoint_journaling_never_perturbs_any_backend() {
             "{bname}: resumed alphas"
         );
         assert_eq!(plain.model.rho, resumed.model.rho, "{bname}: resumed rho");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -15,8 +15,10 @@
 //! precision, killed at *every* generation) runs under `--ignored` and
 //! is exercised by the CI crash-recovery leg in release mode.
 
+mod scratch;
+
 use std::env;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 use std::sync::Arc;
 
@@ -30,6 +32,7 @@ use plssvm_data::synthetic::{generate_planes, PlanesConfig};
 use plssvm_data::CheckpointJournal;
 use plssvm_simgpu::device::AtomicScalar;
 use plssvm_simgpu::{hw, Backend as DeviceApi};
+use scratch::ScratchDir;
 
 /// Marks a spawned process as the crash-injection child and names its
 /// `backend:kernel:precision` case.
@@ -124,16 +127,6 @@ fn child_entry() {
     }
 }
 
-fn scratch_dir(label: &str) -> PathBuf {
-    let dir = env::temp_dir().join(format!(
-        "plssvm-crash-{}-{}",
-        std::process::id(),
-        label.replace(':', "-")
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Spawns this test binary as a crash-injection child that aborts right
 /// after `crash_gen` becomes durable, and asserts it died by signal
 /// (abort), not by an orderly test failure.
@@ -159,11 +152,11 @@ fn spawn_crashing_child(case: &str, dir: &Path, crash_gen: u64) {
 fn kill_and_resume<T: AtomicScalar>(case: &str, crash_gen: u64, reference: &TrainOutput<T>) {
     let parts: Vec<&str> = case.split(':').collect();
     let (backend, kernel) = (parts[0], parts[1]);
-    let dir = scratch_dir(&format!("{case}-g{crash_gen}"));
+    let dir = ScratchDir::new(&format!("crash-{case}-g{crash_gen}"));
 
-    spawn_crashing_child(case, &dir, crash_gen);
+    spawn_crashing_child(case, dir.path(), crash_gen);
 
-    let journal = CheckpointJournal::open(&dir, KEEP).unwrap();
+    let journal = CheckpointJournal::open(dir.path(), KEEP).unwrap();
     let gens = journal.generations().unwrap();
     assert_eq!(
         gens.last().copied(),
@@ -171,7 +164,7 @@ fn kill_and_resume<T: AtomicScalar>(case: &str, crash_gen: u64, reference: &Trai
         "{case}: journal must end at the crash generation"
     );
 
-    let resumed = train_journaled::<T>(backend, kernel, &dir, true);
+    let resumed = train_journaled::<T>(backend, kernel, dir.path(), true);
     assert_eq!(
         resumed.model.to_model_string(),
         reference.model.to_model_string(),
@@ -186,8 +179,6 @@ fn kill_and_resume<T: AtomicScalar>(case: &str, crash_gen: u64, reference: &Trai
         resumed.iterations, reference.iterations,
         "{case}: iterations"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Counts how many checkpoint generations an uninterrupted journaled
@@ -195,12 +186,11 @@ fn kill_and_resume<T: AtomicScalar>(case: &str, crash_gen: u64, reference: &Trai
 fn reference_run<T: AtomicScalar>(case: &str) -> (TrainOutput<T>, u64) {
     let parts: Vec<&str> = case.split(':').collect();
     let (backend, kernel) = (parts[0], parts[1]);
-    let dir = scratch_dir(&format!("{case}-reference"));
-    let out = train_journaled::<T>(backend, kernel, &dir, false);
+    let dir = ScratchDir::new(&format!("crash-{case}-reference"));
+    let out = train_journaled::<T>(backend, kernel, dir.path(), false);
     assert!(out.converged, "{case}: reference run must converge");
-    let journal = CheckpointJournal::open(&dir, KEEP).unwrap();
+    let journal = CheckpointJournal::open(dir.path(), KEEP).unwrap();
     let generations = journal.generations().unwrap().len() as u64;
-    let _ = std::fs::remove_dir_all(&dir);
     assert!(
         generations >= 3,
         "{case}: need at least 3 generations to kill at, got {generations}"
@@ -252,9 +242,9 @@ fn corrupted_newest_generation_falls_back_and_still_converges() {
     let case = "serial:rbf:f64";
     let (reference, generations) = reference_run::<f64>(case);
     let crash_gen = generations.min(4);
-    let dir = scratch_dir("corrupt-tail");
+    let dir = ScratchDir::new("crash-corrupt-tail");
 
-    spawn_crashing_child(case, &dir, crash_gen);
+    spawn_crashing_child(case, dir.path(), crash_gen);
 
     // damage the newest generation: truncate it mid-payload (torn write)
     let newest = dir.join(format!("gen-{crash_gen:08}.ckpt"));
@@ -262,7 +252,7 @@ fn corrupted_newest_generation_falls_back_and_still_converges() {
     std::fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
 
     let telemetry = Telemetry::shared();
-    let journal = CheckpointJournal::open(&dir, KEEP).unwrap();
+    let journal = CheckpointJournal::open(dir.path(), KEEP).unwrap();
     let resumed = trainer::<f64>("serial", "rbf")
         .with_checkpoint_journal(journal)
         .with_resume(true)
@@ -295,6 +285,4 @@ fn corrupted_newest_generation_falls_back_and_still_converges() {
         "resuming from checkpoint generation {}",
         crash_gen - 1
     ))));
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,8 @@
 //! byte-identical to the fault-free run. A fault-free [`FaultVfs`] must
 //! be observationally identical to [`RealVfs`].
 
-use std::path::PathBuf;
+mod scratch;
+
 use std::sync::Arc;
 
 use plssvm_core::backend::BackendSelection;
@@ -17,6 +18,7 @@ use plssvm_data::model::KernelSpec;
 use plssvm_data::synthetic::{generate_planes, PlanesConfig};
 use plssvm_data::vfs::{FaultKind, FaultPlan, FaultVfs, OpClass, Vfs};
 use plssvm_data::CheckpointJournal;
+use scratch::ScratchDir;
 
 /// Retention window larger than any solve here produces, so every
 /// generation survives and resume points are predictable.
@@ -40,12 +42,6 @@ fn trainer() -> LsSvm<f64> {
         .with_checkpoint_interval(4)
 }
 
-fn scratch_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("plssvm-io-res-{}-{label}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Journaled training over an explicit VFS, with telemetry collected.
 fn train_over(
     dir: &std::path::Path,
@@ -67,11 +63,10 @@ fn train_over(
 /// filesystem. Every faulted run below must reproduce this model
 /// byte-for-byte.
 fn reference() -> TrainOutput<f64> {
-    let dir = scratch_dir("reference");
-    let (out, _) = train_over(&dir, Arc::new(plssvm_data::RealVfs), false);
+    let dir = ScratchDir::new("io-res-reference");
+    let (out, _) = train_over(dir.path(), Arc::new(plssvm_data::RealVfs), false);
     assert!(out.converged, "reference run must converge");
     assert!(!out.io_degraded);
-    let _ = std::fs::remove_dir_all(&dir);
     out
 }
 
@@ -90,9 +85,9 @@ fn assert_bit_identical(label: &str, got: &TrainOutput<f64>, want: &TrainOutput<
 #[test]
 fn fault_free_fault_vfs_trains_identically_to_real_vfs() {
     let want = reference();
-    let dir = scratch_dir("passthrough");
+    let dir = ScratchDir::new("io-res-passthrough");
     let vfs = Arc::new(FaultVfs::new(FaultPlan::new()));
-    let (out, _) = train_over(&dir, Arc::clone(&vfs) as Arc<dyn Vfs>, false);
+    let (out, _) = train_over(dir.path(), Arc::clone(&vfs) as Arc<dyn Vfs>, false);
     assert_bit_identical("passthrough", &out, &want);
     assert!(!out.io_degraded);
     assert_eq!(vfs.total_injected(), 0);
@@ -100,7 +95,6 @@ fn fault_free_fault_vfs_trains_identically_to_real_vfs() {
         vfs.ops(OpClass::Write) > 0,
         "journaled training must route checkpoint writes through the VFS"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A transient EIO on the first checkpoint write is absorbed by the
@@ -109,10 +103,10 @@ fn fault_free_fault_vfs_trains_identically_to_real_vfs() {
 #[test]
 fn transient_journal_fault_is_retried_and_leaves_io_retry_telemetry() {
     let want = reference();
-    let dir = scratch_dir("transient");
+    let dir = ScratchDir::new("io-res-transient");
     let plan = FaultPlan::new().fault(FaultKind::Eio, OpClass::Write, 0, Some("gen-"), false);
     let vfs = Arc::new(FaultVfs::new(plan));
-    let (out, telemetry) = train_over(&dir, Arc::clone(&vfs) as Arc<dyn Vfs>, false);
+    let (out, telemetry) = train_over(dir.path(), Arc::clone(&vfs) as Arc<dyn Vfs>, false);
 
     assert_bit_identical("transient", &out, &want);
     assert!(
@@ -141,9 +135,8 @@ fn transient_journal_fault_is_retried_and_leaves_io_retry_telemetry() {
         "no degradation on a transient fault"
     );
     // the retried generation made it to disk after all
-    let journal = CheckpointJournal::open(&dir, KEEP).unwrap();
+    let journal = CheckpointJournal::open(dir.path(), KEEP).unwrap();
     assert!(!journal.is_empty().unwrap());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A persistent write failure on the journal exhausts the retry budget,
@@ -152,10 +145,10 @@ fn transient_journal_fault_is_retried_and_leaves_io_retry_telemetry() {
 #[test]
 fn persistent_journal_fault_degrades_but_training_completes() {
     let want = reference();
-    let dir = scratch_dir("persistent");
+    let dir = ScratchDir::new("io-res-persistent");
     let plan = FaultPlan::new().fault(FaultKind::Enospc, OpClass::Write, 0, Some("gen-"), true);
     let vfs = Arc::new(FaultVfs::new(plan));
-    let (out, telemetry) = train_over(&dir, Arc::clone(&vfs) as Arc<dyn Vfs>, false);
+    let (out, telemetry) = train_over(dir.path(), Arc::clone(&vfs) as Arc<dyn Vfs>, false);
 
     assert_bit_identical("persistent", &out, &want);
     assert!(
@@ -177,9 +170,8 @@ fn persistent_journal_fault_degrades_but_training_completes() {
         .iter()
         .any(|e| e.kind == RecoveryKind::IoRetry));
     // nothing durable ever landed
-    let journal = CheckpointJournal::open(&dir, KEEP).unwrap();
+    let journal = CheckpointJournal::open(dir.path(), KEEP).unwrap();
     assert!(journal.is_empty().unwrap());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Resume over a journal whose newest generation suffers bit rot at
@@ -190,10 +182,10 @@ fn persistent_journal_fault_degrades_but_training_completes() {
 fn bit_rotted_newest_generation_falls_back_on_resume() {
     let want = reference();
     // first, a clean journaled run leaves its generations behind
-    let dir = scratch_dir("bitrot");
-    let (first, _) = train_over(&dir, Arc::new(plssvm_data::RealVfs), false);
+    let dir = ScratchDir::new("io-res-bitrot");
+    let (first, _) = train_over(dir.path(), Arc::new(plssvm_data::RealVfs), false);
     assert!(first.converged);
-    let journal = CheckpointJournal::open(&dir, KEEP).unwrap();
+    let journal = CheckpointJournal::open(dir.path(), KEEP).unwrap();
     let gens = journal.generations().unwrap();
     assert!(
         gens.len() >= 2,
@@ -205,7 +197,7 @@ fn bit_rotted_newest_generation_falls_back_on_resume() {
     // newest generation's read is damaged, the fallback read is clean)
     let plan = FaultPlan::new().fault(FaultKind::BitRot, OpClass::Read, 0, Some("gen-"), false);
     let vfs = Arc::new(FaultVfs::new(plan));
-    let (out, telemetry) = train_over(&dir, Arc::clone(&vfs) as Arc<dyn Vfs>, true);
+    let (out, telemetry) = train_over(dir.path(), Arc::clone(&vfs) as Arc<dyn Vfs>, true);
 
     assert_bit_identical("bitrot-resume", &out, &want);
     assert_eq!(vfs.total_injected(), 1, "{:?}", vfs.injected());
@@ -226,5 +218,4 @@ fn bit_rotted_newest_generation_falls_back_on_resume() {
             newest - 1
         ))
     }));
-    let _ = std::fs::remove_dir_all(&dir);
 }

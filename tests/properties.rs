@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use plssvm::core::backend::{BackendSelection, Prepared};
-use plssvm::core::cg::{conjugate_gradients, conjugate_gradients_resume, CgConfig, LinOp};
+use plssvm::core::cg::{conjugate_gradients, conjugate_gradients_with, CgConfig, CgRun, LinOp};
 use plssvm::core::kernel::kernel_row;
 use plssvm::core::matrix_free::{assemble_q_tilde, bias, full_alpha, reduced_rhs, QTildeParams};
 use plssvm::core::svm::LsSvm;
@@ -238,7 +238,8 @@ proptest! {
             ..CgConfig::with_epsilon(1e-10)
         });
         let state = interrupted.checkpoint.expect("checkpointing enabled");
-        let resumed = conjugate_gradients_resume(&prepared, &rhs, &cfg, &state);
+        let run = CgRun { resume: Some(&state), ..CgRun::default() };
+        let resumed = conjugate_gradients_with(&prepared, &rhs, &cfg, run);
         prop_assert_eq!(&resumed.x, &full.x);
         prop_assert_eq!(resumed.iterations, full.iterations);
         prop_assert_eq!(resumed.converged, full.converged);

@@ -1,9 +1,11 @@
 //! The implicit `Q̃` matrix–vector product — the paper's hot kernel —
-//! across all backends.
+//! across all backends, plus the OpenMP backend's factored linear-kernel
+//! operator (`openmp/linear`) against its implicit sweep
+//! (`openmp_implicit/linear`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use plssvm_core::backend::{BackendSelection, Prepared};
+use plssvm_core::backend::{BackendSelection, CpuTilingConfig, Prepared};
 use plssvm_core::cg::LinOp;
 use plssvm_data::dense::SoAMatrix;
 use plssvm_data::model::KernelSpec;
@@ -27,6 +29,13 @@ fn bench_matvec(c: &mut Criterion) {
     for (name, selection) in [
         ("serial", BackendSelection::Serial),
         ("openmp", BackendSelection::openmp(None)),
+        (
+            "openmp_implicit",
+            BackendSelection::OpenMp {
+                threads: None,
+                tiling: CpuTilingConfig::default().with_implicit(true),
+            },
+        ),
         (
             "simgpu_cuda",
             BackendSelection::sim_gpu(hw::A100, DeviceApi::Cuda),

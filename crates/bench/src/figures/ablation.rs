@@ -15,14 +15,18 @@
 //!    (§III-A), and on a cache-based CPU core the row-major layout wins —
 //!    which is exactly why the layouts are swapped per backend.
 //! 5. **Explicit-w factorization** (future work in §V) — for the linear
-//!    kernel `K·v = X·(Xᵀv)` costs `O(m·d)` instead of `O(m²·d)`; executed.
+//!    kernel `K·v = X·(Xᵀv)` costs `O(m·d)` instead of `O(m²·d)`; executed
+//!    on the OpenMP backend's two operators, and runnable alone as
+//!    `ablation_factored`.
 
 use std::time::Instant;
 
+use plssvm_core::backend::parallel::ParallelBackend;
 use plssvm_core::backend::serial::SerialBackend;
 use plssvm_core::backend::simgpu::TilingConfig;
+use plssvm_core::backend::CpuTilingConfig;
 use plssvm_core::kernel::{dot, kernel_soa};
-use plssvm_data::dense::SoAMatrix;
+use plssvm_data::dense::{DenseMatrix, SoAMatrix};
 use plssvm_data::model::KernelSpec;
 use plssvm_simgpu::{hw, Backend as DeviceApi};
 
@@ -35,12 +39,22 @@ fn time_it(mut f: impl FnMut()) -> f64 {
     t0.elapsed().as_secs_f64()
 }
 
-/// Runs all ablations.
-pub fn run(scale: Scale) -> FigureReport {
-    let (m, d) = match scale {
+fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| time_it(&mut f))
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn sizes(scale: Scale) -> (usize, usize) {
+    match scale {
         Scale::Small => (128, 32),
         Scale::Medium => (768, 128),
-    };
+    }
+}
+
+/// Runs all ablations.
+pub fn run(scale: Scale) -> FigureReport {
+    let (m, d) = sizes(scale);
     let data = planes_data(m, d, 1234);
     let soa = SoAMatrix::from_dense(&data.x, 64);
     let n = m - 1;
@@ -172,55 +186,9 @@ pub fn run(scale: Scale) -> FigureReport {
     csvs.push(t4.write_csv("ablation_layout.csv"));
 
     // --- 5: explicit-w factorization for the linear kernel (executed) ---
-    let t_implicit = t_tri;
-    let mut w_vec = vec![0.0; d];
-    let mut out_w = vec![0.0; n];
-    let t_factored = time_it(|| {
-        // w = Xᵀ v over the first n points, then out = X w
-        w_vec.fill(0.0);
-        for (f, w) in w_vec.iter_mut().enumerate() {
-            let col = soa.feature_column(f);
-            let mut acc = 0.0;
-            for (j, &vj) in v.iter().enumerate() {
-                acc += col[j] * vj;
-            }
-            *w = acc;
-        }
-        for (i, slot) in out_w.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (f, &wf) in w_vec.iter().enumerate() {
-                acc += soa.get(i, f) * wf;
-            }
-            *slot = acc;
-        }
-    });
-    // correctness: factored result equals implicit result
-    backend.kernel_matvec(&v, &mut out);
-    let max_err = out
-        .iter()
-        .zip(&out_w)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    let mut t5 = Table::new(&["variant", "matvec time", "complexity"]);
-    t5.row(vec![
-        "implicit K·v (paper)".into(),
-        fmt_secs(t_implicit),
-        "O(m^2 d)".into(),
-    ]);
-    t5.row(vec![
-        "factored X(X^T v)".into(),
-        fmt_secs(t_factored),
-        "O(m d)".into(),
-    ]);
-    body.push_str(&format!(
-        "### 5. Explicit-w factorization, linear kernel only (executed)\n{}speedup {:.0}x at max abs deviation {max_err:.2e} — the \"implicit \
-         matrix-vector multiplication implementations available\" the paper's \
-         §V names as future work; it changes the complexity class but only \
-         exists for the linear kernel.\n",
-        t5.to_aligned(),
-        t_implicit / t_factored
-    ));
-    csvs.push(t5.write_csv("ablation_factored.csv"));
+    let (factored_body, factored_csv) = factored_study(&data.x, &v);
+    body.push_str(&factored_body);
+    csvs.push(factored_csv);
 
     // --- 6: sparse CG backend (the §V extension) vs density (executed) ---
     use plssvm_core::backend::sparse::SparseBackend;
@@ -302,6 +270,66 @@ pub fn run(scale: Scale) -> FigureReport {
         body,
         csv_files: csvs,
     }
+}
+
+/// Study 5 alone — the `ablation_factored` experiment id.
+pub fn run_factored(scale: Scale) -> FigureReport {
+    let (m, d) = sizes(scale);
+    let data = planes_data(m, d, 1234);
+    let v: Vec<f64> = (0..m - 1).map(|i| ((i as f64) * 0.37).sin()).collect();
+    let (body, csv) = factored_study(&data.x, &v);
+    FigureReport {
+        id: "ablation_factored".into(),
+        title: "factored X(X^T v) vs the implicit K·v, linear kernel (§V)".into(),
+        body,
+        csv_files: vec![csv],
+    }
+}
+
+/// Times the OpenMP backend's two linear-kernel operators on one `K·v`:
+/// the paper's implicit sweep and the factored `X(Xᵀv)` training uses by
+/// default. Best of five runs each; also reports how far they deviate.
+fn factored_study(x: &DenseMatrix<f64>, v: &[f64]) -> (String, String) {
+    let backend = |implicit: bool| {
+        let tiling = CpuTilingConfig::default().with_implicit(implicit);
+        ParallelBackend::new(x.clone(), KernelSpec::Linear, 1.0, None, tiling)
+            .expect("default tiling is valid")
+    };
+    let (implicit, factored) = (backend(true), backend(false));
+    assert!(factored.factored() && !implicit.factored());
+    let n = v.len();
+    let (mut out_i, mut out_f) = (vec![0.0; n], vec![0.0; n]);
+    let t_implicit = best_of(5, || implicit.kernel_matvec(v, &mut out_i));
+    let t_factored = best_of(5, || factored.kernel_matvec(v, &mut out_f));
+    let max_err = out_i
+        .iter()
+        .zip(&out_f)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0f64, f64::max);
+    let mut t5 = Table::new(&["variant", "matvec time", "complexity"]);
+    t5.row(vec![
+        "implicit K·v (paper)".into(),
+        fmt_secs(t_implicit),
+        "O(m^2 d)".into(),
+    ]);
+    t5.row(vec![
+        "factored X(X^T v)".into(),
+        fmt_secs(t_factored),
+        "O(m d)".into(),
+    ]);
+    let body = format!(
+        "### 5. Explicit-w factorization, linear kernel only (executed, {} x {})\n{}speedup {:.0}x at max abs deviation {max_err:.2e} — the \"implicit \
+         matrix-vector multiplication implementations available\" the paper's \
+         §V names as future work. Both rows are the OpenMP backend: training \
+         uses the factored operator by default and `--cpu-tile …,implicit` \
+         selects the paper's sweep. It changes the complexity class but only \
+         exists for the linear kernel.\n",
+        x.rows(),
+        x.cols(),
+        t5.to_aligned(),
+        t_implicit / t_factored
+    );
+    (body, t5.write_csv("ablation_factored.csv"))
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use plssvm_core::backend::BackendSelection;
+use plssvm_core::backend::{BackendSelection, CpuTilingConfig};
 use plssvm_core::svm::{accuracy, LsSvm, TrainOutput};
 use plssvm_core::trace::Telemetry;
 use plssvm_data::libsvm::LabeledData;
@@ -147,6 +147,16 @@ pub fn planes_data(points: usize, features: usize, seed: u64) -> LabeledData<f64
     generate_planes(&PlanesConfig::new(points, features, seed)).unwrap()
 }
 
+/// The OpenMP backend on the paper's implicit `K·v` sweep. The paper's
+/// figures measure that algorithm, so their drivers opt out of the
+/// factored linear-kernel operator the backend uses by default.
+pub fn paper_openmp(threads: Option<usize>) -> BackendSelection {
+    BackendSelection::OpenMp {
+        threads,
+        tiling: CpuTilingConfig::default().with_implicit(true),
+    }
+}
+
 /// Trains an LS-SVM and measures the wall-clock of the `train` call.
 ///
 /// Always attaches a unified telemetry sink, so `out.telemetry` is `Some`
@@ -176,12 +186,7 @@ pub fn timed_lssvm_train(
 /// so this is the value the paper-scale models use.
 pub fn measured_iterations(points: usize, features: usize, seed: u64) -> usize {
     let data = planes_data(points, features, seed);
-    let (out, _) = timed_lssvm_train(
-        &data,
-        KernelSpec::Linear,
-        1e-6,
-        BackendSelection::openmp(None),
-    );
+    let (out, _) = timed_lssvm_train(&data, KernelSpec::Linear, 1e-6, paper_openmp(None));
     out.iterations
 }
 

@@ -12,13 +12,12 @@
 
 use std::time::Instant;
 
-use plssvm_core::backend::BackendSelection;
 use plssvm_core::svm::LsSvm;
 use plssvm_core::trace::{spans, Telemetry};
 use plssvm_data::model::KernelSpec;
 use plssvm_smo::{SmoConfig, ThunderConfig, ThunderSolver};
 
-use crate::figures::common::{planes_data, FigureReport, Scale, Table};
+use crate::figures::common::{paper_openmp, planes_data, FigureReport, Scale, Table};
 use crate::stats::coefficient_of_variation;
 
 /// One repetition: wall time and solver iterations. The PLSSVM row reads
@@ -30,7 +29,7 @@ fn run_once(method: &str, m: usize, d: usize, seed: u64) -> (f64, f64) {
         let out = LsSvm::new()
             .with_kernel(KernelSpec::Linear)
             .with_epsilon(1e-6)
-            .with_backend(BackendSelection::openmp(None))
+            .with_backend(paper_openmp(None))
             .with_metrics(Telemetry::shared())
             .train(&data)
             .unwrap();

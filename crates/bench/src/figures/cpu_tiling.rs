@@ -165,6 +165,9 @@ fn run_sized(m: usize, d: usize, assert_blocked_wins: bool) -> FigureReport {
     let mut best_simd: Option<(String, f64)> = None; // (variant, seconds)
     let mut blocked_nosym_speedup = 0.0f64;
     for (name, tiling) in variants {
+        // the engine under study is the implicit sweep, not the factored
+        // linear operator the backend would otherwise pick
+        let tiling = tiling.with_implicit(true);
         let backend =
             ParallelBackend::new(data.x.clone(), kernel, 1.0, None, tiling).expect("valid tiling");
         let isa = tiling.resolved_isa();

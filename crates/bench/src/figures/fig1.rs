@@ -12,13 +12,13 @@
 //! iteration counts measured at feasible sizes (the paper itself observes
 //! the CG iteration count to be nearly size-independent, §IV-C).
 
-use plssvm_core::backend::BackendSelection;
 use plssvm_data::model::KernelSpec;
 use plssvm_simgpu::{hw, Backend as DeviceApi};
 use plssvm_smo::{SmoConfig, ThunderConfig, ThunderSolver};
 
 use crate::figures::common::{
-    fmt_secs, planes_data, timed_lssvm_train, train_accuracy, FigureReport, Scale, Table,
+    fmt_secs, paper_openmp, planes_data, timed_lssvm_train, train_accuracy, FigureReport, Scale,
+    Table,
 };
 use crate::protocol::epsilon_search;
 use crate::workmodel::{LsSvmWorkModel, ThunderWorkModel};
@@ -30,12 +30,7 @@ fn cpu_method_time(method: &str, points: usize, features: usize, seed: u64) -> (
     let data = planes_data(points, features, seed);
     let result = epsilon_search(|eps| match method {
         "plssvm" => {
-            let (out, _) = timed_lssvm_train(
-                &data,
-                KernelSpec::Linear,
-                eps,
-                BackendSelection::openmp(None),
-            );
+            let (out, _) = timed_lssvm_train(&data, KernelSpec::Linear, eps, paper_openmp(None));
             (train_accuracy(&out, &data), out.iterations)
         }
         "libsvm" | "libsvm-dense" => {

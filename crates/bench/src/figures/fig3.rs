@@ -8,11 +8,11 @@
 //! after the knee, and (d) tightening ε by eight orders of magnitude costs
 //! well under ~2× runtime — "the exact choice is not critical" (§IV-F).
 
-use plssvm_core::backend::BackendSelection;
 use plssvm_data::model::KernelSpec;
 
 use crate::figures::common::{
-    fmt_secs, planes_data, timed_lssvm_train, train_accuracy, FigureReport, Scale, Table,
+    fmt_secs, paper_openmp, planes_data, timed_lssvm_train, train_accuracy, FigureReport, Scale,
+    Table,
 };
 
 /// Runs the ε sweep.
@@ -26,12 +26,7 @@ pub fn run(scale: Scale) -> FigureReport {
     let mut rows = Vec::new();
     for exp in 1..=max_exp {
         let eps = 10f64.powi(-exp);
-        let (out, t) = timed_lssvm_train(
-            &data,
-            KernelSpec::Linear,
-            eps,
-            BackendSelection::openmp(None),
-        );
+        let (out, t) = timed_lssvm_train(&data, KernelSpec::Linear, eps, paper_openmp(None));
         let acc = train_accuracy(&out, &data);
         rows.push((eps, out.iterations, t.as_secs_f64(), acc));
         table.row(vec![

@@ -18,7 +18,7 @@ use plssvm_data::model::KernelSpec;
 use plssvm_simgpu::{hw, Backend as DeviceApi};
 
 use crate::figures::common::{
-    fmt_secs, planes_data, timed_lssvm_train, FigureReport, Scale, Table,
+    fmt_secs, paper_openmp, planes_data, timed_lssvm_train, FigureReport, Scale, Table,
 };
 use crate::workmodel::LsSvmWorkModel;
 
@@ -59,12 +59,7 @@ pub fn run_fig4a(scale: Scale) -> FigureReport {
     let mut base_cg = 0.0f64;
     let mut t = 1usize;
     while t <= host_threads {
-        let (out, _) = timed_lssvm_train(
-            &data,
-            KernelSpec::Linear,
-            1e-6,
-            BackendSelection::openmp(Some(t)),
-        );
+        let (out, _) = timed_lssvm_train(&data, KernelSpec::Linear, 1e-6, paper_openmp(Some(t)));
         let ct = out.times.cg.as_secs_f64();
         if t == 1 {
             base_cg = ct;

@@ -42,6 +42,7 @@ pub const ALL_IDS: &[&str] = &[
     "profiling",
     "cov",
     "ablation",
+    "ablation_factored",
     "ablation_cpu_tiling",
     "ablation_lowrank",
     "multinode",
@@ -65,6 +66,7 @@ pub fn run(id: &str, scale: Scale) -> Option<FigureReport> {
         "profiling" => profiling::run(scale),
         "cov" => cov::run(scale),
         "ablation" => ablation::run(scale),
+        "ablation_factored" => ablation::run_factored(scale),
         "ablation_cpu_tiling" => cpu_tiling::run(scale),
         "ablation_lowrank" => lowrank::run(scale),
         "multinode" => multinode::run(scale),

@@ -25,16 +25,25 @@ pub mod workmodel;
 /// Where figure drivers write their CSV outputs.
 pub const RESULTS_DIR: &str = "bench_results";
 
-/// Ensures the results directory exists and returns the path for a file.
-/// The crate's own unit tests write their smoke-size tables under the
-/// workspace's `target/` instead, never next to the paper's CSVs.
+/// Overrides where the figure drivers write (see [`results_path`]).
+pub const RESULTS_DIR_ENV: &str = "PLSSVM_RESULTS_DIR";
+
+/// Ensures the results directory exists and returns the path for a file:
+/// `bench_results/` at the workspace root whatever the working directory,
+/// or the directory named by `$PLSSVM_RESULTS_DIR` when set. The crate's
+/// own unit tests write their smoke-size tables under the workspace's
+/// `target/` instead, never next to the paper's CSVs.
 pub fn results_path(name: &str) -> std::path::PathBuf {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("the crate lives at <workspace>/crates/bench");
     #[cfg(test)]
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/tmp")
-        .join(RESULTS_DIR);
+    let dir = root.join("target/tmp").join(RESULTS_DIR);
     #[cfg(not(test))]
-    let dir = std::path::PathBuf::from(RESULTS_DIR);
+    let dir = std::env::var_os(RESULTS_DIR_ENV)
+        .map(std::path::PathBuf::from)
+        .unwrap_or_else(|| root.join(RESULTS_DIR));
     std::fs::create_dir_all(&dir).ok();
     dir.join(name)
 }

@@ -2,12 +2,15 @@
 
 use std::process::Command;
 
-/// Runs `figures` from the test scratch directory under `target/`, so
-/// the CSVs it writes (relative to its working directory) stay there.
+/// Runs `figures` from the test scratch directory under `target/` and
+/// points its results directory there, so the smoke-size CSVs never
+/// overwrite the workspace's `bench_results/`.
 fn run(args: &[&str]) -> (bool, String, String) {
+    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
         .args(args)
-        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .current_dir(tmp)
+        .env(plssvm_bench::RESULTS_DIR_ENV, tmp.join("bench_results"))
         .output()
         .expect("spawn figures");
     (

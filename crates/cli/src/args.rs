@@ -792,13 +792,25 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, CliError> {
         .map_err(|_| err(format!("invalid value '{s}' for {flag}")))
 }
 
-/// Parses the `--cpu-tile` spec: `R` (square tile), `RxC`, with an optional
-/// `,nosym` suffix that disables the symmetric schedule.
+/// Parses the `--cpu-tile` spec: `R` (square tile) or `RxC`, then any of
+/// the suffixes `,nosym` (disables the symmetric schedule) and `,implicit`
+/// (applies a linear kernel through the paper's implicit sweep instead of
+/// the factored `X(Xᵀv)`).
 fn parse_cpu_tile(spec: &str) -> Result<CpuTilingConfig, CliError> {
-    let (dims, symmetry) = match spec.strip_suffix(",nosym") {
-        Some(rest) => (rest, false),
-        None => (spec, true),
-    };
+    let mut parts = spec.split(',');
+    let dims = parts.next().unwrap_or_default();
+    let (mut symmetry, mut implicit) = (true, false);
+    for flag in parts {
+        match flag {
+            "nosym" => symmetry = false,
+            "implicit" => implicit = true,
+            other => {
+                return Err(err(format!(
+                    "invalid --cpu-tile '{spec}': unknown suffix ',{other}' (expected nosym or implicit)"
+                )))
+            }
+        }
+    }
     let (row, col) = match dims.split_once('x') {
         Some((r, c)) => (
             parse_num::<usize>(r, "--cpu-tile")?,
@@ -809,7 +821,9 @@ fn parse_cpu_tile(spec: &str) -> Result<CpuTilingConfig, CliError> {
             (r, r)
         }
     };
-    let tiling = CpuTilingConfig::new(row, col).with_symmetry(symmetry);
+    let tiling = CpuTilingConfig::new(row, col)
+        .with_symmetry(symmetry)
+        .with_implicit(implicit);
     tiling
         .validate()
         .map_err(|e| err(format!("invalid --cpu-tile '{spec}': {e}")))?;
@@ -913,6 +927,19 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+
+        // the paper's implicit operator, alone or next to ,nosym
+        for (spec, symmetry) in [("64,implicit", true), ("64x32,nosym,implicit", false)] {
+            let a = parse_train(&sv(&["--cpu-tile", spec, "x.dat"])).unwrap();
+            match a.backend {
+                BackendSelection::OpenMp { tiling, .. } => {
+                    assert!(tiling.implicit, "{spec}");
+                    assert_eq!(tiling.symmetry, symmetry, "{spec}");
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        assert!(parse_train(&sv(&["--cpu-tile", "64,fast", "x.dat"])).is_err());
 
         // Default when the flag is absent.
         let a = parse_train(&sv(&["x.dat"])).unwrap();

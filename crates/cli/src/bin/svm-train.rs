@@ -24,7 +24,9 @@ fn main() -> ExitCode {
              \x20 -b backend     : serial | openmp (default) | sparse | cuda | opencl | sycl | dpcpp\n\
              \x20 -n devices     : simulated device count (default 1)\n\
              \x20 -T threads     : openmp thread count (default all cores)\n\
-             \x20 --cpu-tile t   : openmp cache tile, 'R', 'RxC' or 'RxC,nosym' (default 64x64)\n\
+             \x20 --cpu-tile t   : openmp cache tile, 'R' or 'RxC' (default 64x64), plus ',nosym'\n\
+             \x20                  and/or ',implicit' (linear kernel: the paper's implicit\n\
+             \x20                  K·v sweep instead of the default factored X(X^T v))\n\
              \x20 --hardware hw  : a100 (default) | v100 | p100 | gtx1080ti | rtx3080 | radeonvii | p630\n\
              \x20 --split mode   : features (default, linear only) | rows (any kernel)\n\
              \x20 --metrics-out f: write solver telemetry as JSON lines (LS-SVM/LS-SVR only)\n\

@@ -682,17 +682,12 @@ fn predict_inner(args: &PredictArgs) -> Result<String, Box<dyn Error>> {
     }
     write_atomic(&args.output, out.as_bytes())?;
 
+    // the ±1 in `data.y` were assigned from the test file's own first
+    // label, so only its label map recovers the true class
     let correct = labels
         .iter()
         .zip(&data.y)
-        .filter(|(&l, &y)| {
-            let truth = if y > 0.0 {
-                model.labels[0]
-            } else {
-                model.labels[1]
-            };
-            l == truth
-        })
+        .filter(|(&l, &y)| l == data.original_label(y))
         .count();
     Ok(format!(
         "Accuracy = {:.4}% ({}/{}) (classification)\n",

@@ -472,3 +472,104 @@ fn storage_faults_through_the_binary_exit_4_or_retry_to_success() {
     assert!(help.contains("--on-io-degraded"), "{help}");
     assert!(help.contains("4 storage failure"), "{help}");
 }
+
+/// `svm-predict`'s binary `Accuracy =` line must score each prediction
+/// against the held-out file's own labels, even when that file's first
+/// row belongs to the class the training file lists second (the ±1
+/// encoding of the two files then disagrees).
+#[test]
+fn predict_accuracy_follows_the_test_files_labels() {
+    let dir = tmpdir("accuracy_labels");
+    let train = dir.join("train.dat");
+    let model = dir.join("train.model");
+    let generate = |format: &str, out: &PathBuf| {
+        let (ok, _, stderr) = run(
+            "generate-data",
+            &[
+                "--points",
+                "60",
+                "--features",
+                "4",
+                "--seed",
+                "12",
+                "--sep",
+                "4.0",
+                "--flip",
+                "0.0",
+                "--format",
+                format,
+                "-o",
+                out.to_str().unwrap(),
+            ],
+        );
+        assert!(ok, "{stderr}");
+    };
+    generate("libsvm", &train);
+    let (ok, _, stderr) = run(
+        "svm-train",
+        &[
+            "-e",
+            "1e-8",
+            train.to_str().unwrap(),
+            model.to_str().unwrap(),
+        ],
+    );
+    assert!(ok, "{stderr}");
+
+    let arff = dir.join("train.arff");
+    generate("arff", &arff);
+    // (held-out file, label of a data line, whether a line is a data line)
+    type Format = (&'static str, fn(&str) -> i32, fn(&str) -> bool);
+    let libsvm: Format = (
+        "test.dat",
+        |l| l.split_whitespace().next().unwrap().parse().unwrap(),
+        |l| !l.trim().is_empty(),
+    );
+    let arff_format: Format = (
+        "test.arff",
+        |l| l.rsplit(',').next().unwrap().trim().parse().unwrap(),
+        |l| !l.trim().is_empty() && !l.starts_with('@') && !l.starts_with('%'),
+    );
+    for ((name, label_of, is_data), source) in [(libsvm, &train), (arff_format, &arff)] {
+        // move the first row of the other class to the front
+        let content = std::fs::read_to_string(source).unwrap();
+        let mut lines: Vec<&str> = content.lines().collect();
+        let first = lines.iter().position(|l| is_data(l)).unwrap();
+        let other = (first..lines.len())
+            .find(|&i| is_data(lines[i]) && label_of(lines[i]) != label_of(lines[first]))
+            .unwrap();
+        let row = lines.remove(other);
+        lines.insert(first, row);
+        let test = dir.join(name);
+        std::fs::write(&test, lines.join("\n") + "\n").unwrap();
+
+        let preds = dir.join(format!("{name}.preds"));
+        let (ok, stdout, stderr) = run(
+            "svm-predict",
+            &[
+                test.to_str().unwrap(),
+                model.to_str().unwrap(),
+                preds.to_str().unwrap(),
+            ],
+        );
+        assert!(ok, "{stderr}");
+        let truth: Vec<i32> = lines
+            .iter()
+            .filter(|l| is_data(l))
+            .map(|l| label_of(l))
+            .collect();
+        let predicted: Vec<i32> = std::fs::read_to_string(&preds)
+            .unwrap()
+            .lines()
+            .map(|l| l.parse().unwrap())
+            .collect();
+        let correct = truth.iter().zip(&predicted).filter(|(t, p)| t == p).count();
+        assert!(
+            correct * 10 >= truth.len() * 9,
+            "{name}: {correct}/{}",
+            truth.len()
+        );
+        let expected = format!("({correct}/{})", truth.len());
+        assert!(stdout.contains(&expected), "{name}: {stdout} vs {expected}");
+    }
+}

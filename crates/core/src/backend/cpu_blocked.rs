@@ -55,6 +55,10 @@ pub(crate) const MAX_PARTIAL_GROUPS: usize = 64;
 /// is used. Tiles are clamped to the problem size, so any positive value
 /// is valid — `1` degenerates to unblocked scalar traversal, anything
 /// `≥ n` to a single tile.
+///
+/// It also holds the operator choice of the "OpenMP" backend: for the
+/// linear kernel it applies `K·v` through the factored `X(Xᵀv)` unless
+/// [`CpuTilingConfig::implicit`] asks for the paper's implicit sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuTilingConfig {
     /// Rows per cache tile (the `i`-panel height). Must be ≥ 1.
@@ -71,16 +75,17 @@ pub struct CpuTilingConfig {
     /// override; `Some` pins the tier programmatically (clamped to what
     /// the host supports before any vector code runs).
     pub isa: Option<Isa>,
+    /// Apply a linear kernel's `K·v` with the paper's implicit tiled sweep
+    /// (the schedule the fields above configure) instead of the factored
+    /// `X_n(X_nᵀv)`, which costs `2·n·d` fused multiply–adds. Paper
+    /// figures and tests of the implicit engine set this; other kernels
+    /// always run implicitly.
+    pub implicit: bool,
 }
 
 impl Default for CpuTilingConfig {
     fn default() -> Self {
-        Self {
-            row_tile: 64,
-            col_tile: 64,
-            symmetry: true,
-            isa: None,
-        }
+        Self::new(64, 64)
     }
 }
 
@@ -92,7 +97,15 @@ impl CpuTilingConfig {
             col_tile,
             symmetry: true,
             isa: None,
+            implicit: false,
         }
+    }
+
+    /// Selects the implicit sweep (`true`) or the factored product
+    /// (`false`, the default) for the linear kernel.
+    pub fn with_implicit(mut self, implicit: bool) -> Self {
+        self.implicit = implicit;
+        self
     }
 
     /// Toggles the symmetric schedule.

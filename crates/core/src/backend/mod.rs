@@ -39,7 +39,7 @@ use plssvm_simgpu::{Backend as DeviceApi, FaultPlan, GpuSpec, PerfReport};
 
 use crate::cg::LinOp;
 use crate::error::SvmError;
-use crate::kernel::kernel_flops;
+use crate::kernel::{kernel_flops, linear_w};
 use crate::matrix_free::QTildeParams;
 use crate::trace::{MetricsSink, RecoveryKind, RecoverySample};
 
@@ -490,7 +490,8 @@ impl<T: AtomicScalar> Prepared<T> {
 
     /// *Physical* kernel evaluations one matvec performs on this backend:
     /// `n(n+1)/2` for the symmetric CPU schedules, `n²` for the full row
-    /// sweep of the sparse backend. Device backends count their own tiled
+    /// sweep of the sparse backend, `2n` for the OpenMP backend's factored
+    /// linear-kernel operator. Device backends count their own tiled
     /// launches instead (see [`DeviceReport`]).
     fn matvec_evals(&self) -> Option<u128> {
         let n = self.params.dim() as u128;
@@ -555,8 +556,8 @@ impl<T: AtomicScalar> Prepared<T> {
     pub fn compute_linear_w(&self, alpha: &[T]) -> Result<Option<Vec<T>>, SvmError> {
         let w = match &self.imp {
             PreparedImpl::SimGpu(b) => b.compute_w(alpha).map(Some),
-            PreparedImpl::Serial(b) => Ok(Some(host_linear_w(b.data(), alpha))),
-            PreparedImpl::Parallel(b) => Ok(Some(host_linear_w(b.data(), alpha))),
+            PreparedImpl::Serial(b) => Ok(Some(linear_w(b.isa(), b.data(), alpha))),
+            PreparedImpl::Parallel(b) => Ok(Some(linear_w(b.isa(), b.data(), alpha))),
             PreparedImpl::Sparse(b) => Ok(Some(b.linear_w(alpha))),
         };
         if w.is_ok() && self.is_cpu() {
@@ -614,17 +615,6 @@ impl<T: AtomicScalar> Prepared<T> {
             }
         }
     }
-}
-
-/// Host-side `w = Σᵢ αᵢ·xᵢ` over row-major data.
-fn host_linear_w<T: plssvm_data::Real>(data: &DenseMatrix<T>, alpha: &[T]) -> Vec<T> {
-    let mut w = vec![T::ZERO; data.cols()];
-    for (p, &a) in alpha.iter().enumerate() {
-        for (f, &x) in data.row(p).iter().enumerate() {
-            w[f] = a.mul_add(x, w[f]);
-        }
-    }
-    w
 }
 
 impl<T: AtomicScalar> LinOp<T> for Prepared<T> {
@@ -686,6 +676,7 @@ mod tests {
     use super::*;
     use crate::kernel::{PANEL_MR, PANEL_NR};
     use plssvm_data::dense::DenseMatrix;
+    use plssvm_data::libsvm::LabeledData;
     use plssvm_data::synthetic::{generate_planes, PlanesConfig};
     use plssvm_simgpu::hw;
 
@@ -856,12 +847,18 @@ mod tests {
             BackendSelection::OpenMp { tiling, .. } if !tiling.symmetry => n * n,
             _ => n * (n + 1) / 2,
         };
+        // the paper's implicit sweep on OpenMP; the factored operator's
+        // count is checked in `factored_operator_counts_its_own_evals`
+        let implicit = CpuTilingConfig::default().with_implicit(true);
         for sel in [
             BackendSelection::Serial,
-            BackendSelection::openmp(Some(2)),
             BackendSelection::OpenMp {
                 threads: Some(2),
-                tiling: CpuTilingConfig::default().with_symmetry(false),
+                tiling: implicit,
+            },
+            BackendSelection::OpenMp {
+                threads: Some(2),
+                tiling: implicit.with_symmetry(false),
             },
             BackendSelection::SparseCpu { threads: Some(2) },
         ] {
@@ -878,6 +875,121 @@ mod tests {
                 "{}",
                 sel.name()
             );
+        }
+    }
+
+    /// The factored linear operator reports the `2n` evaluation-sized row
+    /// passes it performs; other kernels on the same backend still run the
+    /// implicit sweep. The logical counters keep the serial convention.
+    #[test]
+    fn factored_operator_counts_its_own_evals() {
+        use crate::trace::Telemetry;
+        let (data, _) = sample_dense(20, 6);
+        let n = (data.rows() - 1) as u128;
+        let v = vec![0.5; data.rows() - 1];
+        let run = |sel: &BackendSelection, kernel: KernelSpec<f64>| {
+            let mut p = Prepared::new(sel, &data, None, &kernel, 1.0).unwrap();
+            let t = Telemetry::shared();
+            p.set_metrics(t.clone());
+            let mut out = vec![0.0; data.rows() - 1];
+            p.apply(&v, &mut out);
+            t.report()
+        };
+        let factored = run(&BackendSelection::openmp(Some(2)), KernelSpec::Linear);
+        assert_eq!(factored.kernel_evals["svm_kernel"], 2 * n);
+        let serial = run(&BackendSelection::Serial, KernelSpec::Linear);
+        assert_eq!(factored.kernels, serial.kernels);
+        let rbf = run(
+            &BackendSelection::openmp(Some(2)),
+            KernelSpec::Rbf { gamma: 0.5 },
+        );
+        assert_eq!(rbf.kernel_evals["svm_kernel"], n * (n + 1) / 2);
+    }
+
+    /// `Q̃·v` of the linear kernel from centred data: for Eq. 16 the
+    /// kernel and `q` terms collapse to `(xᵢ−x_m)·(xⱼ−x_m)`, so this f64
+    /// reference has none of the cancellation the operators face on
+    /// shifted data.
+    fn centred_q_tilde_v(x: &DenseMatrix<f64>, cost: f64, v: &[f64]) -> Vec<f64> {
+        let m = x.rows();
+        let last = x.row(m - 1);
+        let centred: Vec<Vec<f64>> = (0..m - 1)
+            .map(|i| x.row(i).iter().zip(last).map(|(a, b)| a - b).collect())
+            .collect();
+        let sum_v: f64 = v.iter().sum();
+        centred
+            .iter()
+            .zip(v)
+            .map(|(ci, &vi)| {
+                let kv: f64 = centred
+                    .iter()
+                    .zip(v)
+                    .map(|(cj, &vj)| crate::kernel::dot(ci, cj) * vj)
+                    .sum();
+                kv + sum_v / cost + vi / cost
+            })
+            .collect()
+    }
+
+    /// The factored linear operator against the implicit sweep on OpenMP,
+    /// both through `Prepared::apply` (so the `q`, `k_mm` and ridge
+    /// corrections are included), in f32 and f64, on planes data and on
+    /// the same data shifted by +1e3 per feature, where `K` and the `q`
+    /// terms cancel to a result ~1e6 times smaller than `K·v`.
+    #[test]
+    fn factored_and_implicit_operators_agree() {
+        fn errors<T: AtomicScalar>(shift: f64) -> (f64, f64, f64) {
+            let cost = 2.0;
+            let base: LabeledData<T> = generate_planes(&PlanesConfig::new(97, 13, 8)).unwrap();
+            let mut x = base.x;
+            for p in 0..x.rows() {
+                for f in 0..x.cols() {
+                    x.set(p, f, T::from_f64(x.get(p, f).to_f64() + shift));
+                }
+            }
+            let x64 = DenseMatrix::from_vec(
+                x.rows(),
+                x.cols(),
+                x.as_slice().iter().map(|v| v.to_f64()).collect(),
+            );
+            let n = x.rows() - 1;
+            let v: Vec<T> = (0..n)
+                .map(|i| T::from_f64(((i * 7) as f64 * 0.13).sin()))
+                .collect();
+            let v64: Vec<f64> = v.iter().map(|a| a.to_f64()).collect();
+            let reference = centred_q_tilde_v(&x64, cost, &v64);
+            let scale = reference.iter().fold(0.0f64, |a, r| a.max(r.abs()));
+            let err = |implicit: bool| {
+                let sel = BackendSelection::OpenMp {
+                    threads: Some(2),
+                    tiling: CpuTilingConfig::default().with_implicit(implicit),
+                };
+                let p =
+                    Prepared::new(&sel, &x, None, &KernelSpec::Linear, T::from_f64(cost)).unwrap();
+                let mut out = vec![T::ZERO; n];
+                p.apply(&v, &mut out);
+                out.iter()
+                    .zip(&reference)
+                    .fold(0.0f64, |a, (o, r)| a.max((o.to_f64() - r).abs()))
+                    / scale
+            };
+            (err(false), err(true), T::EPSILON.to_f64())
+        }
+        for shift in [0.0, 1e3] {
+            for (name, (factored, implicit, eps)) in
+                [("f64", errors::<f64>(shift)), ("f32", errors::<f32>(shift))]
+            {
+                // the factored operator is never less accurate than the
+                // implicit sweep (beyond a factor 2 or a few ulps) ...
+                assert!(
+                    factored <= 2.0 * implicit.max(8.0 * eps),
+                    "{name} shift {shift}: factored {factored:e} vs implicit {implicit:e}"
+                );
+                // ... and both are accurate where nothing cancels
+                if shift == 0.0 {
+                    assert!(factored <= 8.0 * eps, "{name}: {factored:e}");
+                }
+            }
         }
     }
 

@@ -22,6 +22,14 @@
 //! boundary clamping) is shared with the serial backend; see
 //! [`crate::backend::cpu_blocked`] for the schedule and its boundary
 //! guarantees.
+//!
+//! For the linear kernel the backend skips the sweep by default and
+//! applies the factored product `K·v = X_n(X_nᵀv)`: `u = X_nᵀv` is one
+//! row-ordered fold ([`crate::kernel::linear_w`]), then every
+//! `out[i] = ⟨xᵢ, u⟩` is an independent dispatched dot product — `2·n·d`
+//! fused multiply–adds per matvec instead of `n(n+1)/2` kernel
+//! evaluations, with results still independent of the thread count.
+//! [`CpuTilingConfig::implicit`] selects the paper's implicit sweep.
 
 use rayon::prelude::*;
 
@@ -31,8 +39,9 @@ use plssvm_data::Real;
 
 use crate::backend::cpu_blocked::{full_rows_matvec, symmetric_group_matvec, CpuTilingConfig};
 use crate::error::SvmError;
+use crate::kernel::linear_w;
 use crate::matrix_free::QTildeParams;
-use crate::simd::Isa;
+use crate::simd::{self, Isa};
 
 /// The multi-threaded CPU backend.
 pub struct ParallelBackend<T> {
@@ -109,8 +118,15 @@ impl<T: Real> ParallelBackend<T> {
             .unwrap_or_else(rayon::current_num_threads)
     }
 
-    /// `out = K·v` over the first `m−1` points, parallel over tile-row
-    /// groups (symmetric schedule) or row chunks (full schedule).
+    /// Whether [`ParallelBackend::kernel_matvec`] runs the factored
+    /// linear-kernel product instead of the implicit sweep.
+    pub fn factored(&self) -> bool {
+        matches!(self.kernel, KernelSpec::Linear) && !self.tiling.implicit
+    }
+
+    /// `out = K·v` over the first `m−1` points: the factored `X_n(X_nᵀv)`
+    /// for the linear kernel, otherwise parallel over tile-row groups
+    /// (symmetric schedule) or row chunks (full schedule).
     pub fn kernel_matvec(&self, v: &[T], out: &mut [T]) {
         let n = self.params.dim();
         debug_assert_eq!(v.len(), n);
@@ -120,7 +136,19 @@ impl<T: Real> ParallelBackend<T> {
         // problem-size-aware tiles (bit-neutral, see CpuTilingConfig docs)
         let cfg = &self.tiling.effective_for(n);
 
-        if cfg.symmetry {
+        if self.factored() {
+            let isa = cfg.resolved_isa();
+            let u = linear_w(isa, data, v);
+            let work = |out: &mut [T]| {
+                out.par_iter_mut()
+                    .enumerate()
+                    .for_each(|(i, o)| *o = simd::dot(isa, data.row(i), &u));
+            };
+            match &self.pool {
+                Some(pool) => pool.install(|| work(out)),
+                None => work(out),
+            }
+        } else if cfg.symmetry {
             let groups = cfg.partial_groups(n);
             let work = || -> Vec<Vec<T>> {
                 (0..groups)
@@ -163,9 +191,16 @@ impl<T: Real> ParallelBackend<T> {
     }
 
     /// Kernel evaluations one [`ParallelBackend::kernel_matvec`] performs
-    /// under the active schedule.
+    /// under the active schedule. The factored product counts `2n`: its
+    /// `n` row axpys and `n` row dot products each cost one linear-kernel
+    /// evaluation's `d` fused multiply–adds.
     pub fn matvec_evals(&self) -> u128 {
-        self.tiling.matvec_evals(self.params.dim())
+        let n = self.params.dim();
+        if self.factored() {
+            2 * n as u128
+        } else {
+            self.tiling.matvec_evals(n)
+        }
     }
 }
 
@@ -217,18 +252,23 @@ mod tests {
         let kernel = KernelSpec::Linear;
         let n = data.rows() - 1;
         let v: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
+        // the implicit sweep's schedules, plus the factored default
+        let implicit = CpuTilingConfig::default().with_implicit(true);
         let mut configs = vec![
             CpuTilingConfig::default(),
-            CpuTilingConfig::new(8, 8),
-            CpuTilingConfig::default().with_symmetry(false),
+            implicit,
+            CpuTilingConfig::new(8, 8).with_implicit(true),
+            implicit.with_symmetry(false),
         ];
         // every ISA tier must be thread-count deterministic, not just the
         // auto-selected one
         for isa in Isa::available() {
             configs.push(CpuTilingConfig::default().with_isa(isa));
+            configs.push(implicit.with_isa(isa));
             configs.push(
                 CpuTilingConfig::new(8, 8)
                     .with_symmetry(false)
+                    .with_implicit(true)
                     .with_isa(isa),
             );
         }

@@ -13,7 +13,7 @@
 //! because it is part of the model file format; this module adds the
 //! evaluation code for both the row-major and the SoA layouts.
 
-use plssvm_data::dense::SoAMatrix;
+use plssvm_data::dense::{DenseMatrix, SoAMatrix};
 use plssvm_data::model::KernelSpec;
 use plssvm_data::Real;
 
@@ -80,6 +80,21 @@ pub fn kernel_soa<T: Real>(spec: &KernelSpec<T>, data: &SoAMatrix<T>, i: usize, 
         KernelSpec::Rbf { gamma } => (-gamma * data.dist_sq(i, j)).exp(),
         KernelSpec::Sigmoid { gamma, coef0 } => gamma.mul_add(data.dot(i, j), coef0).tanh(),
     }
+}
+
+/// The explicit normal vector `w = Σᵢ coefᵢ·xᵢ` (Eq. 15) over the first
+/// `coef.len()` rows of `x`, folded in row order with one fused
+/// multiply–add per entry ([`simd::axpy`], bit-identical on every tier).
+/// It is the one fold behind every linear-kernel fast path: the factored
+/// training operator's `X_nᵀv`, the host `w_kernel`, and scoring through
+/// `w` in `svm-predict` and `svm-serve`. The fixed order makes `w`
+/// bit-identical for every caller.
+pub fn linear_w<T: Real>(isa: Isa, x: &DenseMatrix<T>, coef: &[T]) -> Vec<T> {
+    let mut w = vec![T::ZERO; x.cols()];
+    for (p, &a) in coef.iter().enumerate() {
+        simd::axpy(isa, a, x.row(p), &mut w);
+    }
+    w
 }
 
 /// Applies the kernel's scalar-product postprocessing to an

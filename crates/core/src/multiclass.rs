@@ -97,21 +97,29 @@ impl<T: Real> MultiClassModel<T> {
 
     /// Predicts original class labels for every row of `x`.
     pub fn predict(&self, x: &DenseMatrix<T>) -> Vec<i32> {
-        let k = self.classes.len();
-        let class_index = |c: i32| self.classes.iter().position(|&x| x == c).unwrap();
         // decision values of every binary model over all points
         let decisions: Vec<Vec<T>> = self
             .models
             .iter()
             .map(|(_, m)| predict_decision_values(m, x))
             .collect();
+        self.vote(&decisions)
+    }
 
-        (0..x.rows())
+    /// Combines the decision values of every binary model (`decisions[i]`
+    /// holds model `i`'s value for each point) into one class label per
+    /// point: one-vs-one majority vote with summed decision values as the
+    /// tie-break, or the largest one-vs-rest value.
+    pub fn vote(&self, decisions: &[Vec<T>]) -> Vec<i32> {
+        let k = self.classes.len();
+        let class_index = |c: i32| self.classes.iter().position(|&x| x == c).unwrap();
+        let points = decisions.first().map_or(0, Vec::len);
+        (0..points)
             .map(|p| match self.strategy {
                 MultiClassStrategy::OneVsOne => {
                     let mut votes = vec![0usize; k];
                     let mut score = vec![0.0f64; k];
-                    for (((a, b), _), values) in self.models.iter().zip(&decisions) {
+                    for (((a, b), _), values) in self.models.iter().zip(decisions) {
                         let v = values[p].to_f64();
                         let (ia, ib) = (class_index(*a), class_index(*b));
                         if v >= 0.0 {
@@ -133,7 +141,7 @@ impl<T: Real> MultiClassModel<T> {
                     let best = self
                         .models
                         .iter()
-                        .zip(&decisions)
+                        .zip(decisions)
                         .max_by(|(_, a), (_, b)| a[p].to_f64().total_cmp(&b[p].to_f64()))
                         .map(|(((c, _), _), _)| *c)
                         .unwrap();

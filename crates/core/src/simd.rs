@@ -241,6 +241,37 @@ pub fn dist_sq<T: Real>(isa: Isa, a: &[T], b: &[T]) -> T {
     simd_pair(isa, a, b, true).unwrap_or_else(|| kernel::dist_sq(a, b))
 }
 
+/// Dispatched `y += a·x`, one fused multiply–add per entry. Each entry
+/// rounds once on every tier, so the tier changes only the speed, never a
+/// bit. On x86-64 the AVX2 and AVX-512 tiers run the same loop compiled
+/// with hardware FMA (vectorized); elsewhere `mul_add` is used as is
+/// (aarch64 has FMA in its base ISA).
+#[inline]
+pub fn axpy<T: Real>(isa: Isa, a: T, x: &[T], y: &mut [T]) {
+    debug_assert_eq!(x.len(), y.len());
+    #[cfg(target_arch = "x86_64")]
+    if isa.clamp_supported() >= Isa::Avx2 {
+        // SAFETY: both x86 vector tiers require FMA, and the clamp only
+        // keeps a tier the host supports.
+        return unsafe { axpy_fma(a, x, y) };
+    }
+    let _ = isa;
+    axpy_loop(a, x, y);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn axpy_fma<T: Real>(a: T, x: &[T], y: &mut [T]) {
+    axpy_loop(a, x, y);
+}
+
+#[inline(always)]
+fn axpy_loop<T: Real>(a: T, x: &[T], y: &mut [T]) {
+    for (yi, &xi) in y.iter_mut().zip(x) {
+        *yi = a.mul_add(xi, *yi);
+    }
+}
+
 /// Dispatched panel of inner products — the SIMD form of
 /// [`kernel::panel_dot`]. Full tiles run one vector FMA chain per pair;
 /// partial tiles fall back to per-pair [`dot`]s of the same tier, so every
@@ -936,6 +967,31 @@ mod tests {
             assert_tier_matches_scalar::<f32>(isa);
             assert_tier_matches_scalar::<f64>(isa);
         }
+    }
+
+    /// `axpy` rounds each entry once, so every tier gives the scalar
+    /// loop's bits, at every length (remainders included).
+    #[test]
+    fn axpy_is_bit_identical_on_every_tier() {
+        fn check<T: Real>() {
+            for d in adversarial_lengths() {
+                let x = row::<T>(d, 5);
+                let a = row::<T>(1, 9)[0];
+                let mut reference = row::<T>(d, 13);
+                let start = reference.clone();
+                for (r, &xi) in reference.iter_mut().zip(&x) {
+                    *r = a.mul_add(xi, *r);
+                }
+                for isa in Isa::available() {
+                    let mut y = start.clone();
+                    axpy(isa, a, &x, &mut y);
+                    let bits = |v: &[T]| v.iter().map(|e| e.to_f64().to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&y), bits(&reference), "{isa:?} d={d}");
+                }
+            }
+        }
+        check::<f32>();
+        check::<f64>();
     }
 
     /// A full panel entry must be bitwise identical to the per-pair dot of

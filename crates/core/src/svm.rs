@@ -34,9 +34,10 @@ use crate::guard::{
     solve_with_guardrails, GuardedRun, GuardedSolve, JacobiDiagonal, RecoveryPolicy,
     RungCheckpointSink,
 };
-use crate::kernel::kernel_row;
+use crate::kernel::{kernel_row, linear_w};
 use crate::lowrank::{solve_lowrank, LandmarkDraw, SolverSelection};
 use crate::matrix_free::{bias, full_alpha, reduced_rhs};
+use crate::simd::Isa;
 use crate::timing::ComponentTimes;
 use crate::trace::{spans, MetricsSink, RecoveryKind, SpanRecorder, Telemetry, TelemetryReport};
 
@@ -690,7 +691,7 @@ pub fn try_predict_labels<T: Real>(
 /// Shared query-batch validation for the fallible prediction entry
 /// points: rejects empty batches, zero-feature rows and feature-count
 /// mismatches with a structured error instead of a panic.
-pub(crate) fn validate_query_batch<T: Real>(
+pub fn validate_query_batch<T: Real>(
     model_features: usize,
     x: &DenseMatrix<T>,
 ) -> Result<(), SvmError> {
@@ -712,10 +713,12 @@ pub(crate) fn validate_query_batch<T: Real>(
     Ok(())
 }
 
-/// The panel-microkernel sweep `f(x) = Σᵢ coefᵢ·k(svᵢ, x) + bias` behind
-/// every classification and regression prediction entry point, computed
-/// in parallel over the rows of `x` (`PANEL_MR` support vectors per
-/// feature pass).
+/// `f(x) = Σᵢ coefᵢ·k(svᵢ, x) + bias` for every row of `x` — the sweep
+/// behind every classification and regression prediction entry point.
+/// A linear model folds `w = Σᵢ coefᵢ·svᵢ` once ([`linear_w`]) and scores
+/// each row through [`predict_linear`] in O(d) (Eq. 15); other kernels
+/// run the panel micro-kernel in parallel over the rows of `x`
+/// (`PANEL_MR` support vectors per feature pass).
 pub(crate) fn kernel_sweep<T: Real>(
     kernel: &KernelSpec<T>,
     sv: &DenseMatrix<T>,
@@ -724,8 +727,11 @@ pub(crate) fn kernel_sweep<T: Real>(
     x: &DenseMatrix<T>,
 ) -> Vec<T> {
     use crate::kernel::{kernel_panel, PANEL_MR};
+    let isa = Isa::select();
+    if matches!(kernel, KernelSpec::Linear) {
+        return linear_scores(isa, &linear_w(isa, sv, coef), bias, x);
+    }
     let m = sv.rows();
-    let isa = crate::simd::Isa::select();
     (0..x.rows())
         .into_par_iter()
         .map(|p| {
@@ -779,10 +785,15 @@ pub fn predict_labels<T: Real>(model: &SvmModel<T>, x: &DenseMatrix<T>) -> Vec<i
 
 /// Fast linear-kernel prediction from the explicit normal vector:
 /// `f(x) = ⟨w, x⟩ + b` — O(d) per point instead of the O(m·d) kernel sum
-/// (Eq. 4 of the paper). `bias` is `−rho`. Computed in parallel over
-/// `PANEL_MR`-point panels sharing one feature pass over `w`.
+/// (Eq. 4 of the paper). `bias` is `−rho`. Each row is one dispatched dot
+/// product of its own, so a row's value is bit-identical whether it is
+/// scored alone or anywhere inside a batch.
 pub fn predict_linear<T: Real>(w: &[T], bias: T, x: &DenseMatrix<T>) -> Vec<T> {
-    use crate::kernel::PANEL_MR;
+    linear_scores(Isa::select(), w, bias, x)
+}
+
+/// [`predict_linear`] on a given ISA tier.
+fn linear_scores<T: Real>(isa: Isa, w: &[T], bias: T, x: &DenseMatrix<T>) -> Vec<T> {
     assert_eq!(
         w.len(),
         x.cols(),
@@ -790,22 +801,10 @@ pub fn predict_linear<T: Real>(w: &[T], bias: T, x: &DenseMatrix<T>) -> Vec<T> {
         w.len(),
         x.cols()
     );
-    let isa = crate::simd::Isa::select();
-    let mut out = vec![T::ZERO; x.rows()];
-    out.par_chunks_mut(PANEL_MR)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let base = ci * PANEL_MR;
-            let mut ra: [&[T]; PANEL_MR] = [w; PANEL_MR];
-            for (a, slot) in ra.iter_mut().enumerate().take(chunk.len()) {
-                *slot = x.row(base + a);
-            }
-            let panel = crate::simd::panel_dot(isa, &ra[..chunk.len()], &[w]);
-            for (a, o) in chunk.iter_mut().enumerate() {
-                *o = panel[a][0] + bias;
-            }
-        });
-    out
+    (0..x.rows())
+        .into_par_iter()
+        .map(|p| crate::simd::dot(isa, x.row(p), w) + bias)
+        .collect()
 }
 
 /// Fraction of correctly classified points of a labeled data set.
@@ -1058,6 +1057,50 @@ mod tests {
             let slow = predict_decision_values(&out.model, &data.x);
             for (a, b) in fast.iter().zip(&slow) {
                 assert!((a - b).abs() < 1e-8);
+            }
+        }
+    }
+
+    /// A row's linear decision value is bit-identical whether it is scored
+    /// alone or at any offset of a batch of 1…65 rows, on the scalar tier
+    /// and the host's best one. This is what lets `svm-serve`'s
+    /// micro-batches and a one-row `svm-predict` equal a full
+    /// `svm-predict` run.
+    #[test]
+    fn linear_scores_are_position_independent() {
+        // 13 features: every SIMD tier also runs its remainder loop
+        let data = planes(70, 13, 21);
+        let out = LsSvm::new().train(&data).unwrap();
+        let (model, rows) = (&out.model, data.points());
+        let w = linear_w(Isa::Scalar, &model.sv, &model.coef);
+        // the prediction entry points score through this very fold
+        assert_eq!(
+            predict_decision_values(model, &data.x),
+            linear_scores(Isa::select(), &w, model.bias(), &data.x)
+        );
+        for isa in [Isa::Scalar, Isa::detect()] {
+            let alone: Vec<f64> = (0..rows)
+                .map(|p| linear_scores(isa, &w, model.bias(), &data.x.select_rows(&[p]))[0])
+                .collect();
+            for len in 1..=65 {
+                for offset in 0..len {
+                    let target = (len * 7 + offset) % rows;
+                    let picks: Vec<usize> = (0..len)
+                        .map(|k| {
+                            if k == offset {
+                                target
+                            } else {
+                                (target + k + 1) % rows
+                            }
+                        })
+                        .collect();
+                    let batch = linear_scores(isa, &w, model.bias(), &data.x.select_rows(&picks));
+                    assert_eq!(
+                        batch[offset].to_bits(),
+                        alone[target].to_bits(),
+                        "{isa:?}: row {target} at offset {offset} of {len}"
+                    );
+                }
             }
         }
     }

@@ -29,8 +29,9 @@
 //! counters they report the *physical* kernel evaluations each matvec
 //! performs through [`MetricsSink::record_kernel_evals`]: `n(n+1)/2` for
 //! the symmetric schedules of the serial and blocked "OpenMP" backends,
-//! `n²` for the full row sweep — so the effect of symmetry exploitation is
-//! observable without perturbing the logical accounting. The device
+//! `n²` for the full row sweep, `2n` for the "OpenMP" backend's factored
+//! linear-kernel operator — so the effect of symmetry exploitation and
+//! factoring is observable without perturbing the logical accounting. The device
 //! backend records what its tiled kernels *actually* execute (triangular
 //! blocking with atomic mirroring, §III-C), folded out of the per-device
 //! `plssvm_simgpu::PerfReport`s into the same schema. Counters and

@@ -6,12 +6,19 @@
 //! (container header → multiclass, `svm_type epsilon_svr` → regression,
 //! otherwise binary), and models are always evaluated in `f64` like the
 //! CLI does, so served predictions are bit-identical to offline ones.
+//!
+//! A linear (sub)model's normal vector `w = Σᵢ coefᵢ·svᵢ` is folded once
+//! per load with the same [`linear_w`] the CLI's prediction uses, so each
+//! batch costs O(d) per row and still equals `svm-predict` bit for bit.
 
+use plssvm_core::kernel::linear_w;
 use plssvm_core::multiclass::MultiClassModel;
-use plssvm_core::regression::try_predict_values;
-use plssvm_core::try_predict_decision_values;
+use plssvm_core::predict_decision_values;
+use plssvm_core::regression::predict_values;
+use plssvm_core::simd::Isa;
+use plssvm_core::svm::{predict_linear, validate_query_batch};
 use plssvm_data::dense::DenseMatrix;
-use plssvm_data::model::{peek_svm_type, SvmModel, SvrModel};
+use plssvm_data::model::{peek_svm_type, KernelSpec, SvmModel, SvrModel};
 
 /// One served prediction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,7 +33,15 @@ pub enum Prediction {
 
 /// A loaded model of any kind the CLI can produce, ready to serve.
 #[derive(Debug, Clone)]
-pub enum ServeModel {
+pub struct ServeModel {
+    kind: Kind,
+    /// The folded `w` of each binary model (one entry for binary and SVR
+    /// models); `None` for non-linear kernels.
+    linear_w: Vec<Option<Vec<f64>>>,
+}
+
+#[derive(Debug, Clone)]
+enum Kind {
     /// A binary LS-SVM classifier.
     Binary(SvmModel<f64>),
     /// A multiclass container (one-vs-one or one-vs-rest).
@@ -35,25 +50,40 @@ pub enum ServeModel {
     Svr(SvrModel<f64>),
 }
 
+/// `w = Σᵢ coefᵢ·svᵢ` for a linear kernel, `None` otherwise.
+fn fold_w(kernel: &KernelSpec<f64>, sv: &DenseMatrix<f64>, coef: &[f64]) -> Option<Vec<f64>> {
+    matches!(kernel, KernelSpec::Linear).then(|| linear_w(Isa::select(), sv, coef))
+}
+
 impl ServeModel {
     /// Parses a model from its text representation, dispatching on the
     /// model kind the same way `svm-predict` does.
     pub fn from_text(content: &str) -> Result<Self, String> {
-        let model = if content.starts_with("plssvm_multiclass") {
-            ServeModel::Multiclass(
+        let kind = if content.starts_with("plssvm_multiclass") {
+            Kind::Multiclass(
                 MultiClassModel::<f64>::from_container_string(content)
                     .map_err(|e| format!("multiclass model: {e}"))?,
             )
         } else if peek_svm_type(content) == Some("epsilon_svr") {
-            ServeModel::Svr(
+            Kind::Svr(
                 SvrModel::<f64>::from_model_string(content)
                     .map_err(|e| format!("svr model: {e}"))?,
             )
         } else {
-            ServeModel::Binary(
+            Kind::Binary(
                 SvmModel::<f64>::from_model_string(content).map_err(|e| format!("model: {e}"))?,
             )
         };
+        let linear_w = match &kind {
+            Kind::Binary(m) => vec![fold_w(&m.kernel, &m.sv, &m.coef)],
+            Kind::Multiclass(m) => m
+                .models
+                .iter()
+                .map(|(_, m)| fold_w(&m.kernel, &m.sv, &m.coef))
+                .collect(),
+            Kind::Svr(m) => vec![fold_w(&m.kernel, &m.sv, &m.coef)],
+        };
+        let model = Self { kind, linear_w };
         if model.features() == 0 {
             return Err("model has zero features".into());
         }
@@ -84,54 +114,76 @@ impl ServeModel {
 
     /// Expected number of features per query row.
     pub fn features(&self) -> usize {
-        match self {
-            ServeModel::Binary(m) => m.features(),
-            ServeModel::Multiclass(m) => m.models.first().map(|(_, m)| m.features()).unwrap_or(0),
-            ServeModel::Svr(m) => m.features(),
+        match &self.kind {
+            Kind::Binary(m) => m.features(),
+            Kind::Multiclass(m) => m.models.first().map(|(_, m)| m.features()).unwrap_or(0),
+            Kind::Svr(m) => m.features(),
         }
     }
 
     /// Total number of support vectors (summed over binary submodels).
     pub fn total_sv(&self) -> usize {
-        match self {
-            ServeModel::Binary(m) => m.total_sv(),
-            ServeModel::Multiclass(m) => m.models.iter().map(|(_, m)| m.total_sv()).sum(),
-            ServeModel::Svr(m) => m.total_sv(),
+        match &self.kind {
+            Kind::Binary(m) => m.total_sv(),
+            Kind::Multiclass(m) => m.models.iter().map(|(_, m)| m.total_sv()).sum(),
+            Kind::Svr(m) => m.total_sv(),
         }
     }
 
     /// Human-readable model kind for status messages.
     pub fn kind(&self) -> &'static str {
-        match self {
-            ServeModel::Binary(_) => "binary",
-            ServeModel::Multiclass(_) => "multiclass",
-            ServeModel::Svr(_) => "svr",
+        match &self.kind {
+            Kind::Binary(_) => "binary",
+            Kind::Multiclass(_) => "multiclass",
+            Kind::Svr(_) => "svr",
         }
     }
 
-    /// Predicts one dense batch through the panelized prediction path,
-    /// returning a structured error (never panicking) on degenerate
-    /// batches.
+    /// Predicts one dense batch, returning a structured error (never
+    /// panicking) on degenerate batches. Linear models score through
+    /// their folded `w`, the others through the kernel sweep.
     pub fn predict_batch(&self, x: &DenseMatrix<f64>) -> Result<Vec<Prediction>, String> {
-        match self {
-            ServeModel::Binary(m) => {
-                let decisions = try_predict_decision_values(m, x).map_err(|e| e.to_string())?;
-                Ok(decisions
-                    .into_iter()
-                    .map(|d| Prediction::LabelWithDecision(m.decide(d), d))
-                    .collect())
-            }
-            ServeModel::Multiclass(m) => Ok(m
-                .try_predict(x)
-                .map_err(|e| e.to_string())?
+        validate_query_batch(self.features(), x).map_err(|e| e.to_string())?;
+        Ok(match &self.kind {
+            Kind::Binary(m) => self
+                .scores(0, m.bias(), x, || predict_decision_values(m, x))
                 .into_iter()
-                .map(Prediction::Label)
-                .collect()),
-            ServeModel::Svr(m) => Ok(try_predict_values(m, x)
-                .map_err(|e| e.to_string())?
+                .map(|d| Prediction::LabelWithDecision(m.decide(d), d))
+                .collect(),
+            Kind::Multiclass(m) => {
+                let decisions: Vec<Vec<f64>> = m
+                    .models
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (_, sub))| {
+                        self.scores(i, sub.bias(), x, || predict_decision_values(sub, x))
+                    })
+                    .collect();
+                m.vote(&decisions)
+                    .into_iter()
+                    .map(Prediction::Label)
+                    .collect()
+            }
+            Kind::Svr(m) => self
+                .scores(0, m.bias(), x, || predict_values(m, x))
                 .into_iter()
                 .map(Prediction::Value)
-                .collect()),
+                .collect(),
+        })
+    }
+
+    /// Decision values of binary model `i`: through its folded `w` when
+    /// linear, otherwise `sweep`.
+    fn scores(
+        &self,
+        i: usize,
+        bias: f64,
+        x: &DenseMatrix<f64>,
+        sweep: impl FnOnce() -> Vec<f64>,
+    ) -> Vec<f64> {
+        match &self.linear_w[i] {
+            Some(w) => predict_linear(w, bias, x),
+            None => sweep(),
         }
     }
 }

@@ -13,7 +13,9 @@ use plssvm_core::multiclass::{
 use plssvm_core::regression::{mean_squared_error, predict_values, r_squared};
 use plssvm_core::simd::FORCE_ISA_ENV;
 use plssvm_core::svm::{accuracy, predict_labels, LsSvm, TrainOutput, TrainProblem};
-use plssvm_core::trace::{MetricsSink, RecoveryKind, Telemetry, TelemetryReport};
+use plssvm_core::trace::{
+    DispatchSample, Event, MetricsSink, RecoveryKind, Telemetry, TelemetryReport,
+};
 use plssvm_core::validation::cross_validate;
 use plssvm_core::SvmError;
 use plssvm_data::arff::read_arff_file;
@@ -133,19 +135,11 @@ fn force_isa_warning() -> Option<String> {
         .map(|e| format!("WARNING: {}: {e}; using auto-detection\n", FORCE_ISA_ENV))
 }
 
-/// Renders the SIMD dispatch decision for `--verbose` summaries and the
-/// serve startup log, e.g. `avx2 (f32x8/f64x4, panel 4x4), auto-detected`.
-fn isa_summary_line() -> String {
+/// The SIMD dispatch decision of this process, for `--verbose` summaries
+/// and the serve startup log.
+fn selected_dispatch() -> DispatchSample {
     let (isa, forced) = plssvm_core::simd::Isa::select_with_provenance();
-    format!(
-        "{}, {}",
-        isa.summary(),
-        if forced {
-            "forced via PLSSVM_FORCE_ISA"
-        } else {
-            "auto-detected"
-        }
-    )
+    DispatchSample { isa, forced }
 }
 
 /// Generations retained by the on-disk checkpoint journal: the newest
@@ -188,19 +182,7 @@ fn emit_telemetry(
     }
     if args.verbose {
         if let Some(d) = &report.dispatch {
-            summary.push_str(&format!(
-                "simd dispatch: {} (f32x{}/f64x{}, panel {}x{}), {}\n",
-                d.isa,
-                d.lanes_f32,
-                d.lanes_f64,
-                d.panel_mr,
-                d.panel_nr,
-                if d.forced {
-                    "forced via PLSSVM_FORCE_ISA"
-                } else {
-                    "auto-detected"
-                }
-            ));
+            summary.push_str(&format!("simd dispatch: {d}\n"));
         }
         summary.push_str(&format!(
             "telemetry: {} kernel launches, {} FLOPs, {} bytes moved\n",
@@ -604,7 +586,10 @@ pub fn run_predict(args: &PredictArgs) -> Result<String, Box<dyn Error>> {
     let wall = start.elapsed();
     if let Some(path) = &args.metrics_out {
         let telemetry = Telemetry::new();
-        telemetry.record_span("predict", wall);
+        telemetry.record(Event::Span {
+            path: "predict",
+            wall,
+        });
         write_atomic(path, telemetry.report().to_json_lines().as_bytes())?;
     }
     let mut summary = force_isa_warning().unwrap_or_default();
@@ -614,7 +599,7 @@ pub fn run_predict(args: &PredictArgs) -> Result<String, Box<dyn Error>> {
     if args.verbose {
         // prediction resolves the tier per call (no long-lived backend),
         // so report what the panel engine will dispatch to on this host
-        summary.push_str(&format!("simd dispatch: {}\n", isa_summary_line()));
+        summary.push_str(&format!("simd dispatch: {}\n", selected_dispatch()));
         summary.push_str(&format!(
             "prediction wall time: {:.3} s\n",
             wall.as_secs_f64()
@@ -776,7 +761,7 @@ pub fn run_serve(args: &ServeArgs) -> Result<(), Box<dyn Error>> {
              client_timeout_ms={}",
             args.max_connections, args.queue_watermark, args.deadline_us, args.client_timeout_ms
         );
-        eprintln!("svm-serve: simd dispatch {}", isa_summary_line());
+        eprintln!("svm-serve: simd dispatch {}", selected_dispatch());
     }
     // hot reload: the watcher thread polls the model file's signature
     // and swaps generations atomically (with a failure-storm circuit
@@ -872,12 +857,7 @@ fn eprint_drain_summary(telemetry: &Telemetry) {
 mod tests {
     use super::*;
     use crate::args::{parse_generate, parse_predict, parse_scale, parse_train};
-
-    fn tmpdir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("plssvm_cli_test").join(name);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use crate::scratch::ScratchDir;
 
     fn sv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -885,7 +865,7 @@ mod tests {
 
     #[test]
     fn end_to_end_generate_train_predict() {
-        let dir = tmpdir("e2e");
+        let dir = ScratchDir::new("cli-e2e");
         let data = dir.join("train.dat");
         let model = dir.join("train.model");
         let preds = dir.join("preds.txt");
@@ -945,7 +925,7 @@ mod tests {
 
     #[test]
     fn train_all_algorithms_produce_models() {
-        let dir = tmpdir("algos");
+        let dir = ScratchDir::new("cli-algos");
         let data = dir.join("train.dat");
         run_generate(
             &parse_generate(&sv(&[
@@ -983,7 +963,7 @@ mod tests {
 
     #[test]
     fn train_on_simulated_gpu_reports_device() {
-        let dir = tmpdir("gpu");
+        let dir = ScratchDir::new("cli-gpu");
         let data = dir.join("train.dat");
         run_generate(
             &parse_generate(&sv(&[
@@ -1014,7 +994,7 @@ mod tests {
 
     #[test]
     fn scale_fit_save_restore() {
-        let dir = tmpdir("scale");
+        let dir = ScratchDir::new("cli-scale");
         let data = dir.join("d.dat");
         std::fs::write(&data, "1 1:0 2:10\n-1 1:4 2:20\n").unwrap();
         let ranges = dir.join("r.txt");
@@ -1045,7 +1025,7 @@ mod tests {
 
     #[test]
     fn generate_sat6_shape() {
-        let dir = tmpdir("sat6");
+        let dir = ScratchDir::new("cli-sat6");
         let out = dir.join("sat.dat");
         let msg = run_generate(
             &parse_generate(&sv(&[
@@ -1063,7 +1043,7 @@ mod tests {
 
     #[test]
     fn regression_train_and_predict() {
-        let dir = tmpdir("svr");
+        let dir = ScratchDir::new("cli-svr");
         let data = dir.join("sinc.dat");
         let model = dir.join("sinc.model");
         let preds = dir.join("preds.txt");
@@ -1120,7 +1100,7 @@ mod tests {
 
     #[test]
     fn multiclass_train_and_predict() {
-        let dir = tmpdir("mc");
+        let dir = ScratchDir::new("cli-mc");
         let data = dir.join("blobs.dat");
         let model = dir.join("blobs.model");
         let preds = dir.join("preds.txt");
@@ -1172,7 +1152,7 @@ mod tests {
 
     #[test]
     fn cross_validation_mode() {
-        let dir = tmpdir("cv");
+        let dir = ScratchDir::new("cli-cv");
         let data = dir.join("train.dat");
         run_generate(
             &parse_generate(&sv(&[
@@ -1201,7 +1181,7 @@ mod tests {
 
     #[test]
     fn sigmoid_kernel_via_cli() {
-        let dir = tmpdir("sigmoid");
+        let dir = ScratchDir::new("cli-sigmoid");
         let data = dir.join("train.dat");
         run_generate(
             &parse_generate(&sv(&[
@@ -1238,7 +1218,7 @@ mod tests {
 
     #[test]
     fn arff_train_and_predict() {
-        let dir = tmpdir("arff");
+        let dir = ScratchDir::new("cli-arff");
         let data = dir.join("train.arff");
         let model = dir.join("train.model");
         let preds = dir.join("preds.txt");
@@ -1298,7 +1278,7 @@ mod tests {
 
     #[test]
     fn metrics_out_emits_documented_json_lines_and_predict_round_trips() {
-        let dir = tmpdir("metrics");
+        let dir = ScratchDir::new("cli-metrics");
         let data = dir.join("train.dat");
         run_generate(
             &parse_generate(&sv(&[
@@ -1404,7 +1384,7 @@ mod tests {
 
     #[test]
     fn quiet_and_verbose_modes() {
-        let dir = tmpdir("verbosity");
+        let dir = ScratchDir::new("cli-verbosity");
         let data = dir.join("train.dat");
         run_generate(
             &parse_generate(&sv(&[
@@ -1465,7 +1445,7 @@ mod tests {
 
     #[test]
     fn regression_metrics_out() {
-        let dir = tmpdir("svr_metrics");
+        let dir = ScratchDir::new("cli-svr_metrics");
         let data = dir.join("sinc.dat");
         let model = dir.join("sinc.model");
         let metrics = dir.join("svr.jsonl");
@@ -1502,7 +1482,7 @@ mod tests {
 
     #[test]
     fn fault_injected_training_recovers_and_logs_recovery_telemetry() {
-        let dir = tmpdir("fault");
+        let dir = ScratchDir::new("cli-fault");
         let data = dir.join("train.dat");
         run_generate(
             &parse_generate(&sv(&[
@@ -1592,9 +1572,7 @@ mod tests {
 
     #[test]
     fn on_nonconverged_policy_gates_the_model_file() {
-        let dir = tmpdir("nonconverged");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("cli-nonconverged");
         let data = dir.join("train.dat");
         run_generate(
             &parse_generate(&sv(&[
@@ -1690,9 +1668,7 @@ mod tests {
 
     #[test]
     fn checkpoint_dir_train_and_resume_round_trip() {
-        let dir = tmpdir("ckpt_cli");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("cli-ckpt_cli");
         let data = dir.join("train.dat");
         run_generate(
             &parse_generate(&sv(&[
@@ -1779,7 +1755,7 @@ mod tests {
 
     #[test]
     fn checkpoint_dir_is_refused_outside_the_lssvm_solver() {
-        let dir = tmpdir("ckpt_refused");
+        let dir = ScratchDir::new("cli-ckpt_refused");
         let data = dir.join("train.dat");
         run_generate(
             &parse_generate(&sv(&[
@@ -1818,9 +1794,7 @@ mod tests {
 
     #[test]
     fn multiclass_checkpoint_uses_per_task_journals() {
-        let dir = tmpdir("ckpt_mc");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("cli-ckpt_mc");
         let data = dir.join("blobs.dat");
         let blobs = plssvm_data::synthetic::generate_blobs::<f64>(
             &plssvm_data::synthetic::BlobsConfig::new(90, 4, 3, 5).with_separation(6.0),
@@ -1894,7 +1868,7 @@ mod tests {
 
     #[test]
     fn lowrank_solver_trains_and_predicts_like_exact() {
-        let dir = tmpdir("lowrank");
+        let dir = ScratchDir::new("cli-lowrank");
         let data = dir.join("train.dat");
         run_generate(
             &parse_generate(&sv(&[
@@ -1980,9 +1954,7 @@ mod tests {
 
     #[test]
     fn io_faults_transient_fault_retries_to_an_identical_model() {
-        let dir = tmpdir("io_faults_transient");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("cli-io_faults_transient");
         let data = dir.join("train.dat");
         run_generate(
             &parse_generate(&sv(&[
@@ -2035,9 +2007,7 @@ mod tests {
 
     #[test]
     fn io_faults_persistent_model_write_fault_is_a_storage_error() {
-        let dir = tmpdir("io_faults_persistent");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("cli-io_faults_persistent");
         let data = dir.join("train.dat");
         run_generate(
             &parse_generate(&sv(&[
@@ -2078,9 +2048,7 @@ mod tests {
 
     #[test]
     fn io_faults_dead_journal_degrades_or_refuses_by_policy() {
-        let dir = tmpdir("io_faults_degraded");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("cli-io_faults_degraded");
         let data = dir.join("train.dat");
         run_generate(
             &parse_generate(&sv(&[

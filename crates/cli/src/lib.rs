@@ -14,6 +14,9 @@
 
 pub mod args;
 pub mod commands;
+#[cfg(test)]
+#[path = "../../core/tests/scratch/mod.rs"]
+mod scratch;
 pub mod signals;
 
 pub use args::CliError;

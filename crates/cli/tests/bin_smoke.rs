@@ -4,11 +4,9 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("plssvm_bin_smoke").join(name);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+#[path = "../../core/tests/scratch/mod.rs"]
+mod scratch;
+use scratch::ScratchDir;
 
 fn run(bin: &str, args: &[&str]) -> (bool, String, String) {
     let exe = match bin {
@@ -28,7 +26,7 @@ fn run(bin: &str, args: &[&str]) -> (bool, String, String) {
 
 #[test]
 fn full_pipeline_through_the_binaries() {
-    let dir = tmpdir("pipeline");
+    let dir = ScratchDir::new("bin-smoke-pipeline");
     let data = dir.join("train.dat");
     let scaled = dir.join("scaled.dat");
     let model = dir.join("train.model");
@@ -109,7 +107,7 @@ fn full_pipeline_through_the_binaries() {
 
 #[test]
 fn fault_injected_training_through_the_binary() {
-    let dir = tmpdir("fault");
+    let dir = ScratchDir::new("bin-smoke-fault");
     let data = dir.join("train.dat");
     let model = dir.join("train.model");
     let metrics = dir.join("metrics.jsonl");
@@ -203,7 +201,7 @@ fn run_env(bin: &str, args: &[&str], envs: &[(&str, &str)]) -> (bool, String, St
 
 #[test]
 fn force_isa_env_round_trips_through_the_binaries() {
-    let dir = tmpdir("force_isa");
+    let dir = ScratchDir::new("bin-smoke-force_isa");
     let data = dir.join("train.dat");
     let model = dir.join("train.model");
     let preds = dir.join("preds.txt");
@@ -301,7 +299,7 @@ fn train_help_and_errors_exit_nonzero() {
 
 #[test]
 fn lowrank_resume_is_a_usage_error_with_exit_code_2() {
-    let dir = tmpdir("lowrank_resume");
+    let dir = ScratchDir::new("bin-smoke-lowrank_resume");
     let data = dir.join("train.dat");
     run(
         "generate-data",
@@ -347,7 +345,7 @@ fn lowrank_resume_is_a_usage_error_with_exit_code_2() {
 
 #[test]
 fn cross_validation_through_the_binary() {
-    let dir = tmpdir("cv");
+    let dir = ScratchDir::new("bin-smoke-cv");
     let data = dir.join("train.dat");
     run(
         "generate-data",
@@ -373,7 +371,7 @@ fn cross_validation_through_the_binary() {
 
 #[test]
 fn arff_input_through_the_binary() {
-    let dir = tmpdir("arff");
+    let dir = ScratchDir::new("bin-smoke-arff");
     let data = dir.join("train.arff");
     run(
         "generate-data",
@@ -401,7 +399,7 @@ fn arff_input_through_the_binary() {
 
 #[test]
 fn storage_faults_through_the_binary_exit_4_or_retry_to_success() {
-    let dir = tmpdir("io_faults");
+    let dir = ScratchDir::new("bin-smoke-io_faults");
     let data = dir.join("train.dat");
     run(
         "generate-data",
@@ -479,7 +477,7 @@ fn storage_faults_through_the_binary_exit_4_or_retry_to_success() {
 /// encoding of the two files then disagrees).
 #[test]
 fn predict_accuracy_follows_the_test_files_labels() {
-    let dir = tmpdir("accuracy_labels");
+    let dir = ScratchDir::new("bin-smoke-accuracy_labels");
     let train = dir.join("train.dat");
     let model = dir.join("train.model");
     let generate = |format: &str, out: &PathBuf| {

@@ -17,11 +17,9 @@ use plssvm_data::synthetic::{generate_blobs, BlobsConfig};
 use plssvm_simgpu::hw;
 use plssvm_simgpu::Backend as DeviceApi;
 
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("plssvm_serve_conf").join(name);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+#[path = "../../core/tests/scratch/mod.rs"]
+mod scratch;
+use scratch::ScratchDir;
 
 fn run(bin: &str, args: &[&str]) -> (bool, String, String) {
     let exe = match bin {
@@ -126,8 +124,8 @@ fn binary_data(dir: &Path) -> PathBuf {
 /// combination serves bit-identically to `svm-predict`.
 #[test]
 fn cli_trained_f64_models_serve_bit_identically() {
-    let dir = tmpdir("f64");
-    let data = binary_data(&dir);
+    let dir = ScratchDir::new("serve-conf-f64");
+    let data = binary_data(dir.path());
     for backend in ["serial", "openmp", "cuda"] {
         for (kernel, extra) in [("0", None), ("2", Some(["-g", "0.5"]))] {
             let model = dir.join(format!("{backend}-t{kernel}.model"));
@@ -149,8 +147,8 @@ fn cli_trained_f64_models_serve_bit_identically() {
 /// every backend × kernel combination serves bit-identically.
 #[test]
 fn f32_trained_models_serve_bit_identically() {
-    let dir = tmpdir("f32");
-    let data_file = binary_data(&dir);
+    let dir = ScratchDir::new("serve-conf-f32");
+    let data_file = binary_data(dir.path());
     let data = read_libsvm_file::<f32>(data_file.to_str().unwrap(), None).unwrap();
     let backends: [(&str, BackendSelection); 3] = [
         ("serial", BackendSelection::Serial),
@@ -182,7 +180,7 @@ fn f32_trained_models_serve_bit_identically() {
 /// same label stream `svm-predict` writes.
 #[test]
 fn multiclass_models_serve_bit_identically() {
-    let dir = tmpdir("multiclass");
+    let dir = ScratchDir::new("serve-conf-multiclass");
     let data_file = dir.join("blobs.dat");
     let blobs = generate_blobs::<f64>(&BlobsConfig::new(45, 4, 3, 9)).unwrap();
     let mut text = String::new();
@@ -219,8 +217,8 @@ fn multiclass_models_serve_bit_identically() {
 /// formatting) `svm-predict` writes.
 #[test]
 fn svr_models_serve_bit_identically() {
-    let dir = tmpdir("svr");
-    let data = binary_data(&dir);
+    let dir = ScratchDir::new("serve-conf-svr");
+    let data = binary_data(dir.path());
     let model = dir.join("svr.model");
     let (ok, _, stderr) = run(
         "svm-train",

@@ -41,7 +41,7 @@ use crate::cg::LinOp;
 use crate::error::SvmError;
 use crate::kernel::{kernel_flops, linear_w};
 use crate::matrix_free::QTildeParams;
-use crate::trace::{MetricsSink, RecoveryKind, RecoverySample};
+use crate::trace::{emit, DispatchSample, Event, MetricsSink, RecoveryKind, RecoverySample};
 
 /// Runtime backend selection (the paper's `--backend` switch).
 #[derive(Debug, Clone)]
@@ -232,7 +232,13 @@ impl DeviceReport {
     pub fn fold_into(&self, sink: &dyn MetricsSink) {
         for dev in &self.per_device {
             for (name, k) in &dev.per_kernel {
-                sink.record_launch(name, k.launches, k.flops, k.global_bytes, k.sim_time_s);
+                sink.record(Event::Launch {
+                    name,
+                    launches: k.launches,
+                    flops: k.flops,
+                    bytes: k.global_bytes,
+                    sim_time_s: k.sim_time_s,
+                });
             }
         }
     }
@@ -445,13 +451,19 @@ impl<T: AtomicScalar> Prepared<T> {
     /// of the logical counters they report the *physical* kernel
     /// evaluations each matvec actually performs (which the symmetric
     /// schedules halve) through
-    /// [`MetricsSink::record_kernel_evals`]. The device backend counts its
+    /// [`Event::KernelEvals`]. The device backend counts its
     /// real tiled launches on-device instead; fold them in at the end of a
     /// run with [`DeviceReport::fold_into`].
     pub fn set_metrics(&mut self, sink: Arc<dyn MetricsSink>) {
         if self.is_cpu() {
             let (flops, bytes) = self.q_kernel_cost();
-            sink.record_launch("q_kernel", 1, flops, bytes, 0.0);
+            sink.record(Event::Launch {
+                name: "q_kernel",
+                launches: 1,
+                flops,
+                bytes,
+                sim_time_s: 0.0,
+            });
         }
         if let Some(isa) = self.isa() {
             // "forced" only when the env override is what produced this
@@ -460,14 +472,7 @@ impl<T: AtomicScalar> Prepared<T> {
                 crate::simd::Isa::forced(),
                 Ok(Some(f)) if f.clamp_supported() == isa
             );
-            sink.record_dispatch(crate::trace::DispatchSample {
-                isa: isa.name(),
-                forced,
-                panel_mr: crate::kernel::PANEL_MR,
-                panel_nr: crate::kernel::PANEL_NR,
-                lanes_f32: isa.lanes_f32(),
-                lanes_f64: isa.lanes_f64(),
-            });
+            sink.record(Event::Dispatch(DispatchSample { isa, forced }));
         }
         self.metrics = Some(sink);
     }
@@ -561,10 +566,16 @@ impl<T: AtomicScalar> Prepared<T> {
             PreparedImpl::Sparse(b) => Ok(Some(b.linear_w(alpha))),
         };
         if w.is_ok() && self.is_cpu() {
-            if let Some(sink) = &self.metrics {
+            emit(self.metrics.as_deref(), || {
                 let (flops, bytes) = self.w_kernel_cost();
-                sink.record_launch("w_kernel", 1, flops, bytes, 0.0);
-            }
+                Event::Launch {
+                    name: "w_kernel",
+                    launches: 1,
+                    flops,
+                    bytes,
+                    sim_time_s: 0.0,
+                }
+            });
         }
         self.drain_recovery();
         w
@@ -611,7 +622,7 @@ impl<T: AtomicScalar> Prepared<T> {
     fn drain_recovery(&self) {
         if let (PreparedImpl::SimGpu(b), Some(sink)) = (&self.imp, &self.metrics) {
             for sample in b.drain_recovery_events() {
-                sink.record_recovery(sample);
+                sink.record(Event::Recovery(sample));
             }
         }
     }
@@ -647,7 +658,7 @@ impl<T: AtomicScalar> LinOp<T> for Prepared<T> {
             use std::sync::atomic::Ordering;
             if let Some(sink) = &self.metrics {
                 if !self.numeric_fault_reported.swap(true, Ordering::Relaxed) {
-                    sink.record_recovery(RecoverySample::solver(
+                    sink.record(Event::Recovery(RecoverySample::solver(
                         RecoveryKind::NumericFault,
                         0,
                         format!(
@@ -655,16 +666,25 @@ impl<T: AtomicScalar> LinOp<T> for Prepared<T> {
                              (input finite: {})",
                             v.iter().all(|x| x.is_finite())
                         ),
-                    ));
+                    )));
                 }
             }
         }
         if self.is_cpu() {
             if let Some(sink) = &self.metrics {
                 let (flops, bytes) = self.matvec_cost();
-                sink.record_launch("svm_kernel", 1, flops, bytes, 0.0);
+                sink.record(Event::Launch {
+                    name: "svm_kernel",
+                    launches: 1,
+                    flops,
+                    bytes,
+                    sim_time_s: 0.0,
+                });
                 if let Some(evals) = self.matvec_evals() {
-                    sink.record_kernel_evals("svm_kernel", evals);
+                    sink.record(Event::KernelEvals {
+                        name: "svm_kernel",
+                        evals,
+                    });
                 }
             }
         }
@@ -1005,10 +1025,15 @@ mod tests {
             let isa = p.isa().expect("panel backend has a cached tier");
             let t = Telemetry::shared();
             p.set_metrics(t.clone());
-            let d = t.report().dispatch.expect("dispatch sample recorded");
-            assert_eq!(d.isa, isa.name(), "{}", sel.name());
-            assert_eq!((d.panel_mr, d.panel_nr), (PANEL_MR, PANEL_NR));
-            assert_eq!(d.lanes_f64, isa.lanes_f64());
+            let report = t.report();
+            let d = report.dispatch.expect("dispatch sample recorded");
+            assert_eq!(d.isa, isa, "{}", sel.name());
+            // the panel and lane geometry are derived from the tier
+            assert!(report.to_json_lines().contains(&format!(
+                "\"panel_mr\":{PANEL_MR},\"panel_nr\":{PANEL_NR},\"lanes_f32\":{},\"lanes_f64\":{}}}",
+                isa.lanes_f32(),
+                isa.lanes_f64()
+            )));
         }
         for sel in [
             BackendSelection::SparseCpu { threads: Some(2) },

@@ -501,7 +501,7 @@ impl<T: AtomicScalar> SimGpuBackend<T> {
             .count()
     }
 
-    fn record_recovery(&self, sample: RecoverySample) {
+    fn queue_recovery(&self, sample: RecoverySample) {
         self.recovery.lock().expect("recovery lock").push(sample);
     }
 
@@ -593,7 +593,7 @@ impl<T: AtomicScalar> SimGpuBackend<T> {
         }
         self.redistribute(&live, None)?;
         for &(d, l) in failures {
-            self.record_recovery(RecoverySample::device_event(
+            self.queue_recovery(RecoverySample::device_event(
                 RecoveryKind::Failover,
                 d,
                 l,
@@ -662,7 +662,7 @@ impl<T: AtomicScalar> SimGpuBackend<T> {
             let mut failures = Vec::new();
             for (_device, result, events) in attempts {
                 for e in events {
-                    self.record_recovery(e);
+                    self.queue_recovery(e);
                 }
                 match result {
                     Ok(v) => outputs.push(v),
@@ -670,7 +670,7 @@ impl<T: AtomicScalar> SimGpuBackend<T> {
                         failures.push((device, launch));
                     }
                     Err(SvmError::Device(SimGpuError::TransientTimeout { device, launch })) => {
-                        self.record_recovery(RecoverySample::device_event(
+                        self.queue_recovery(RecoverySample::device_event(
                             RecoveryKind::Retry,
                             device,
                             launch,
@@ -736,7 +736,7 @@ impl<T: AtomicScalar> SimGpuBackend<T> {
         self.redistribute(&live, Some(&weights))?;
         let device = live[worst];
         let launch = self.devices[device].fault_attempts().saturating_sub(1);
-        self.record_recovery(RecoverySample::device_event(
+        self.queue_recovery(RecoverySample::device_event(
             RecoveryKind::Straggler,
             device,
             launch,

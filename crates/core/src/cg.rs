@@ -18,7 +18,9 @@ use std::time::{Duration, Instant};
 use plssvm_data::Real;
 
 use crate::kernel::dot;
-use crate::trace::{CgIterationSample, CgOutcomeSample, MetricsSink, RecoveryKind, RecoverySample};
+use crate::trace::{
+    emit, CgIterationSample, CgOutcomeSample, Event, MetricsSink, RecoveryKind, RecoverySample,
+};
 
 /// An abstract symmetric positive definite linear operator.
 pub trait LinOp<T: Real>: Sync {
@@ -508,9 +510,10 @@ pub fn conjugate_gradients_with<T: Real>(
     let initial_norm = delta0.sqrt();
     let threshold = config.epsilon * config.epsilon * delta0;
 
-    if let Some(sink) = metrics {
-        sink.record_cg_start(n, initial_norm.to_f64());
-    }
+    emit(metrics, || Event::CgStart {
+        dim: n,
+        initial_residual_norm: initial_norm.to_f64(),
+    });
 
     let snapshot = |x: &[T], r: &[T], d: &[T], rho: T, delta: T, iterations: usize| CgState {
         x: x.to_vec(),
@@ -586,13 +589,13 @@ pub fn conjugate_gradients_with<T: Real>(
                 // from the exact residual
                 drift_restart = true;
                 drift_restarts += 1;
-                if let Some(sink) = metrics {
-                    sink.record_recovery(RecoverySample::solver(
+                emit(metrics, || {
+                    Event::Recovery(RecoverySample::solver(
                         RecoveryKind::Restart,
                         iterations,
                         format!("recurrence-residual drift {drift:.3e} at refresh"),
-                    ));
-                }
+                    ))
+                });
             }
         } else {
             for i in 0..n {
@@ -617,15 +620,15 @@ pub fn conjugate_gradients_with<T: Real>(
         rho = rho_new;
         delta = dot(&r, &r);
         converged = delta <= threshold;
-        if let Some(sink) = metrics {
-            sink.record_cg_iteration(CgIterationSample {
+        emit(metrics, || {
+            Event::CgIteration(CgIterationSample {
                 iteration: iterations,
                 residual_norm: delta.max(T::ZERO).sqrt().to_f64(),
                 alpha: alpha.to_f64(),
                 beta: beta.to_f64(),
                 matvec_wall,
-            });
-        }
+            })
+        });
         if let Some(k) = config.checkpoint_interval {
             if iterations.is_multiple_of(k) {
                 // stream the snapshot to the durable journal (when one is
@@ -634,9 +637,9 @@ pub fn conjugate_gradients_with<T: Real>(
                 if let Some(out) = sink {
                     out.persist(&snapshot(&x, &r, &d, rho, delta, iterations));
                 }
-                if let Some(sink) = metrics {
-                    sink.record_recovery(RecoverySample::checkpoint(iterations));
-                }
+                emit(metrics, || {
+                    Event::Recovery(RecoverySample::checkpoint(iterations))
+                });
             }
         }
         // guardrail classification — observation-only comparisons; on a
@@ -670,8 +673,8 @@ pub fn conjugate_gradients_with<T: Real>(
         classified.unwrap_or(SolveOutcome::IterationBudget)
     };
     let residual_norm = delta.max(T::ZERO).sqrt();
-    if let Some(sink) = metrics {
-        sink.record_cg_outcome(CgOutcomeSample {
+    emit(metrics, || {
+        Event::CgOutcome(CgOutcomeSample {
             outcome: outcome.as_str(),
             iterations,
             final_residual_norm: residual_norm.to_f64(),
@@ -680,8 +683,8 @@ pub fn conjugate_gradients_with<T: Real>(
             } else {
                 residual_norm.to_f64() / initial_norm.to_f64()
             },
-        });
-    }
+        })
+    });
     let checkpoint = config
         .checkpoint_interval
         .map(|_| snapshot(&x, &r, &d, rho, delta, iterations));

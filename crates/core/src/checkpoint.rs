@@ -27,7 +27,7 @@ use plssvm_data::{CheckpointError, Real};
 use crate::cg::CgState;
 use crate::error::SvmError;
 use crate::guard::{ResumePoint, RungCheckpointSink};
-use crate::trace::{MetricsSink, RecoveryKind, RecoverySample};
+use crate::trace::{emit, Event, MetricsSink, RecoveryKind, RecoverySample};
 
 /// Incrementally fingerprints everything that must match between the run
 /// that wrote a checkpoint and the run trying to resume from it: the
@@ -148,9 +148,9 @@ impl JournalSink {
     }
 
     fn emit_kind(&self, kind: RecoveryKind, iteration: usize, detail: String) {
-        if let Some(m) = &self.metrics {
-            m.record_recovery(RecoverySample::solver(kind, iteration, detail));
-        }
+        emit(self.metrics.as_deref(), || {
+            Event::Recovery(RecoverySample::solver(kind, iteration, detail))
+        });
     }
 
     fn emit(&self, iteration: usize, detail: String) {
@@ -237,7 +237,7 @@ pub fn load_resume_point<T: Real>(
     let (loaded, skipped) = journal.load_latest::<T>()?;
     if let Some(m) = metrics {
         for s in &skipped {
-            m.record_recovery(RecoverySample::solver(
+            m.record(Event::Recovery(RecoverySample::solver(
                 RecoveryKind::Checkpoint,
                 0,
                 format!(
@@ -245,7 +245,7 @@ pub fn load_resume_point<T: Real>(
                     s.generation,
                     s.reason.kind()
                 ),
-            ));
+            )));
         }
     }
     let Some(loaded) = loaded else {
@@ -272,16 +272,16 @@ pub fn load_resume_point<T: Real>(
             expected: dim as u64,
         }));
     }
-    if let Some(m) = metrics {
-        m.record_recovery(RecoverySample::solver(
+    emit(metrics, || {
+        Event::Recovery(RecoverySample::solver(
             RecoveryKind::Checkpoint,
             snapshot.iterations as usize,
             format!(
                 "resuming from checkpoint generation {} (rung {})",
                 loaded.generation, snapshot.rung
             ),
-        ));
-    }
+        ))
+    });
     let rung = snapshot.rung;
     let state = CgState::from_raw_parts(
         snapshot.x,

@@ -42,7 +42,7 @@ use crate::cg::{
     CheckpointSink as CgCheckpointSink, LinOp, SolveOutcome,
 };
 use crate::kernel::dot;
-use crate::trace::{CgOutcomeSample, MetricsSink, RecoveryKind, RecoverySample};
+use crate::trace::{emit, CgOutcomeSample, Event, MetricsSink, RecoveryKind, RecoverySample};
 
 /// Stable rung identifiers persisted inside durable checkpoint snapshots,
 /// so a resumed run re-enters the escalation ladder at the rung that was
@@ -165,12 +165,6 @@ impl<T: Real> GuardedSolve<T> {
     /// The final classified outcome.
     pub fn outcome(&self) -> SolveOutcome {
         self.result.outcome
-    }
-}
-
-fn emit(metrics: Option<&dyn MetricsSink>, kind: RecoveryKind, iteration: usize, detail: String) {
-    if let Some(sink) = metrics {
-        sink.record_recovery(RecoverySample::solver(kind, iteration, detail));
     }
 }
 
@@ -333,15 +327,16 @@ pub fn solve_with_guardrails<T: Real>(
 
     // Rung 1: restart from the current iterate with the exact residual.
     if !result.converged && policy.restart && !already_passed(rungs::RESTART) {
-        emit(
-            metrics,
-            RecoveryKind::Restart,
-            total_iterations,
-            format!(
-                "escalation after {}: restart from current iterate with exact residual",
-                result.outcome
-            ),
-        );
+        emit(metrics, || {
+            Event::Recovery(RecoverySample::solver(
+                RecoveryKind::Restart,
+                total_iterations,
+                format!(
+                    "escalation after {}: restart from current iterate with exact residual",
+                    result.outcome
+                ),
+            ))
+        });
         escalations.push(RecoveryKind::Restart);
         let state = match resume_state_for(rungs::RESTART) {
             Some(saved) => saved,
@@ -376,15 +371,16 @@ pub fn solve_with_guardrails<T: Real>(
             let usable =
                 diag.len() == op.dim() && diag.iter().all(|d| d.is_finite() && d.to_f64() > 0.0);
             if usable {
-                emit(
-                    metrics,
-                    RecoveryKind::Precondition,
-                    total_iterations,
-                    format!(
-                        "escalation after {}: enabling Jacobi preconditioner",
-                        result.outcome
-                    ),
-                );
+                emit(metrics, || {
+                    Event::Recovery(RecoverySample::solver(
+                        RecoveryKind::Precondition,
+                        total_iterations,
+                        format!(
+                            "escalation after {}: enabling Jacobi preconditioner",
+                            result.outcome
+                        ),
+                    ))
+                });
                 escalations.push(RecoveryKind::Precondition);
                 let state = match resume_state_for(rungs::JACOBI) {
                     Some(saved) => saved,
@@ -410,16 +406,17 @@ pub fn solve_with_guardrails<T: Real>(
 
     // Rung 3: f64 iterative refinement over the working-precision backend.
     if !result.converged && policy.precision_escalation && T::BYTES < 8 {
-        emit(
-            metrics,
-            RecoveryKind::PrecisionEscalation,
-            total_iterations,
-            format!(
-                "escalation after {}: f64 iterative refinement over the {}-byte backend",
-                result.outcome,
-                T::BYTES
-            ),
-        );
+        emit(metrics, || {
+            Event::Recovery(RecoverySample::solver(
+                RecoveryKind::PrecisionEscalation,
+                total_iterations,
+                format!(
+                    "escalation after {}: f64 iterative refinement over the {}-byte backend",
+                    result.outcome,
+                    T::BYTES
+                ),
+            ))
+        });
         escalations.push(RecoveryKind::PrecisionEscalation);
         let diag = initial_diag.or(owned_diag.as_deref());
         // On a rung-3 resume, refinement restarts its outer loop from the
@@ -461,7 +458,7 @@ pub fn solve_with_guardrails<T: Real>(
             .sum::<f64>()
             .sqrt();
         let final_norm = result.residual_norm.to_f64();
-        sink.record_cg_outcome(CgOutcomeSample {
+        sink.record(Event::CgOutcome(CgOutcomeSample {
             outcome: result.outcome.as_str(),
             iterations: total_iterations,
             final_residual_norm: final_norm,
@@ -470,7 +467,7 @@ pub fn solve_with_guardrails<T: Real>(
             } else {
                 final_norm / initial
             },
-        });
+        }));
     }
 
     GuardedSolve {

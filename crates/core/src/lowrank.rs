@@ -44,9 +44,10 @@
 //!
 //! Every low-rank solve streams one [`LowRankSample`] (rank, strategy,
 //! jitter steps, direct residual, PCG iterations, assembly/solve wall
-//! time) through the [`MetricsSink`] channel. Landmark selection is fully
-//! determined by the seed ([`plssvm_data::sampling`]), so results are
-//! bit-reproducible across thread counts.
+//! time) through the [`MetricsSink`](crate::trace::MetricsSink) channel.
+//! Landmark selection is fully determined by the seed
+//! ([`plssvm_data::sampling`]), so results are bit-reproducible across
+//! thread counts.
 
 use std::time::Instant;
 
@@ -64,7 +65,7 @@ use crate::guard::{solve_with_guardrails, GuardedRun, GuardedSolve};
 use crate::kernel::{dot, kernel_panel, PANEL_MR, PANEL_NR};
 use crate::matrix_free::QTildeParams;
 use crate::trace::{
-    CgIterationSample, CgOutcomeSample, LowRankSample, MetricsSink, RecoveryKind, RecoverySample,
+    emit, CgIterationSample, CgOutcomeSample, Event, LowRankSample, RecoveryKind, RecoverySample,
 };
 
 /// Default landmark-selection seed (the CLI's `--lowrank-seed` default).
@@ -475,12 +476,6 @@ fn exact_residual<T: Real>(op: &dyn LinOp<T>, b64: &[f64], x64: &[f64]) -> (Vec<
     (r, norm)
 }
 
-fn emit(metrics: Option<&dyn MetricsSink>, kind: RecoveryKind, iteration: usize, detail: String) {
-    if let Some(sink) = metrics {
-        sink.record_recovery(RecoverySample::solver(kind, iteration, detail));
-    }
-}
-
 /// Solves `Q̃·x = b` through the randomized low-rank path: Nyström direct
 /// solve → Nyström-preconditioned CG polish → exact escalation ladder,
 /// with every transition a recorded `recovery` event (see the module
@@ -531,14 +526,14 @@ pub fn solve_lowrank<T: AtomicScalar>(
     let norm_b = dot(&b64, &b64).sqrt();
     if norm_b == 0.0 {
         // b = 0 ⇒ x = 0 exactly; mirror the exact solver's trivial path
-        if let Some(sink) = metrics {
-            sink.record_cg_outcome(CgOutcomeSample {
+        emit(metrics, || {
+            Event::CgOutcome(CgOutcomeSample {
                 outcome: SolveOutcome::Converged.as_str(),
                 iterations: 0,
                 final_residual_norm: 0.0,
                 relative_residual: 0.0,
-            });
-        }
+            })
+        });
         return Ok(GuardedSolve {
             result: CgResult {
                 x: vec![T::ZERO; n],
@@ -563,17 +558,18 @@ pub fn solve_lowrank<T: AtomicScalar>(
     let Some(factor) = factor else {
         // not factorable even at maximal jitter (non-finite kernel
         // entries): hand the problem to the exact ladder unchanged
-        emit(
-            metrics,
-            RecoveryKind::SolverFallback,
-            0,
-            format!(
-                "rank-{k} Nyström capacitance unfactorable after {MAX_JITTER_STEPS} \
-                 jitter steps: falling back to the exact solver ladder"
-            ),
-        );
-        if let Some(sink) = metrics {
-            sink.record_lowrank(LowRankSample {
+        emit(metrics, || {
+            Event::Recovery(RecoverySample::solver(
+                RecoveryKind::SolverFallback,
+                0,
+                format!(
+                    "rank-{k} Nyström capacitance unfactorable after {MAX_JITTER_STEPS} \
+                     jitter steps: falling back to the exact solver ladder"
+                ),
+            ))
+        });
+        emit(metrics, || {
+            Event::LowRank(LowRankSample {
                 rank: k,
                 strategy: strategy.as_str(),
                 jitter_steps: MAX_JITTER_STEPS,
@@ -581,8 +577,8 @@ pub fn solve_lowrank<T: AtomicScalar>(
                 pcg_iterations: 0,
                 assembly_wall,
                 solve_wall: std::time::Duration::ZERO,
-            });
-        }
+            })
+        });
         let guarded = solve_with_guardrails(op, b, config, run);
         let mut escalations = vec![RecoveryKind::SolverFallback];
         escalations.extend(guarded.escalations.iter().copied());
@@ -607,20 +603,22 @@ pub fn solve_lowrank<T: AtomicScalar>(
         // starting from the direct iterate — Â⁻¹ is the preconditioner,
         // the matvec is the exact operator, and termination is on the
         // unpreconditioned ‖r‖ against ε·‖b‖.
-        emit(
-            metrics,
-            RecoveryKind::Precondition,
-            0,
-            format!(
-                "rank-{k} direct Nyström solve reached relative residual \
-                 {direct_rel:.3e} > {epsilon:.1e}: polishing with \
-                 Nyström-preconditioned CG"
-            ),
-        );
+        emit(metrics, || {
+            Event::Recovery(RecoverySample::solver(
+                RecoveryKind::Precondition,
+                0,
+                format!(
+                    "rank-{k} direct Nyström solve reached relative residual \
+                     {direct_rel:.3e} > {epsilon:.1e}: polishing with \
+                     Nyström-preconditioned CG"
+                ),
+            ))
+        });
         escalations.push(RecoveryKind::Precondition);
-        if let Some(sink) = metrics {
-            sink.record_cg_start(n, rnorm);
-        }
+        emit(metrics, || Event::CgStart {
+            dim: n,
+            initial_residual_norm: rnorm,
+        });
         let max_iterations = config.max_iterations.unwrap_or((2 * n).max(128));
         let refresh = config.residual_refresh_interval.max(1);
         pcg_outcome = SolveOutcome::IterationBudget;
@@ -661,15 +659,15 @@ pub fn solve_lowrank<T: AtomicScalar>(
                 // convergence
                 (r, rnorm) = exact_residual(op, &b64, &x);
                 if rnorm <= epsilon * norm_b {
-                    if let Some(sink) = metrics {
-                        sink.record_cg_iteration(CgIterationSample {
+                    emit(metrics, || {
+                        Event::CgIteration(CgIterationSample {
                             iteration: it,
                             residual_norm: rnorm,
                             alpha,
                             beta: 0.0,
                             matvec_wall: t_iter.elapsed(),
-                        });
-                    }
+                        })
+                    });
                     converged = true;
                     pcg_outcome = SolveOutcome::Converged;
                     break;
@@ -686,21 +684,21 @@ pub fn solve_lowrank<T: AtomicScalar>(
             for (pv, &zv) in p.iter_mut().zip(&z) {
                 *pv = zv + beta * *pv;
             }
-            if let Some(sink) = metrics {
-                sink.record_cg_iteration(CgIterationSample {
+            emit(metrics, || {
+                Event::CgIteration(CgIterationSample {
                     iteration: it,
                     residual_norm: rnorm,
                     alpha,
                     beta,
                     matvec_wall: t_iter.elapsed(),
-                });
-            }
+                })
+            });
         }
     }
     let solve_wall = t_solve.elapsed();
 
-    if let Some(sink) = metrics {
-        sink.record_lowrank(LowRankSample {
+    emit(metrics, || {
+        Event::LowRank(LowRankSample {
             rank: k,
             strategy: strategy.as_str(),
             jitter_steps: factor.jitter_steps,
@@ -708,18 +706,18 @@ pub fn solve_lowrank<T: AtomicScalar>(
             pcg_iterations,
             assembly_wall,
             solve_wall,
-        });
-    }
+        })
+    });
 
     if converged {
-        if let Some(sink) = metrics {
-            sink.record_cg_outcome(CgOutcomeSample {
+        emit(metrics, || {
+            Event::CgOutcome(CgOutcomeSample {
                 outcome: SolveOutcome::Converged.as_str(),
                 iterations: pcg_iterations,
                 final_residual_norm: rnorm,
                 relative_residual: rnorm / norm_b,
-            });
-        }
+            })
+        });
         return Ok(GuardedSolve {
             result: CgResult {
                 x: x.iter().map(|&v| T::from_f64(v)).collect(),
@@ -738,17 +736,18 @@ pub fn solve_lowrank<T: AtomicScalar>(
 
     // The low-rank path is exhausted: record the transition and hand the
     // problem to the exact escalation ladder unchanged.
-    emit(
-        metrics,
-        RecoveryKind::SolverFallback,
-        pcg_iterations,
-        format!(
-            "Nyström-preconditioned CG ({pcg_outcome}) at relative residual \
-             {:.3e} after {pcg_iterations} iterations: falling back to the \
-             exact solver ladder",
-            rnorm / norm_b
-        ),
-    );
+    emit(metrics, || {
+        Event::Recovery(RecoverySample::solver(
+            RecoveryKind::SolverFallback,
+            pcg_iterations,
+            format!(
+                "Nyström-preconditioned CG ({pcg_outcome}) at relative residual \
+                 {:.3e} after {pcg_iterations} iterations: falling back to the \
+                 exact solver ladder",
+                rnorm / norm_b
+            ),
+        ))
+    });
     escalations.push(RecoveryKind::SolverFallback);
     let guarded = solve_with_guardrails(op, b, config, run);
     escalations.extend(guarded.escalations.iter().copied());
@@ -763,6 +762,7 @@ pub fn solve_lowrank<T: AtomicScalar>(
 mod tests {
     use super::*;
     use crate::backend::{BackendSelection, Prepared};
+    use crate::trace::MetricsSink;
     use plssvm_data::synthetic::{generate_planes, PlanesConfig};
 
     fn fixture(points: usize, seed: u64) -> (DenseMatrix<f64>, Vec<f64>) {

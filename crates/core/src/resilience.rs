@@ -21,7 +21,7 @@
 use std::fmt::Display;
 use std::time::Duration;
 
-use crate::trace::{MetricsSink, RecoveryKind, RecoverySample};
+use crate::trace::{emit, Event, MetricsSink, RecoveryKind, RecoverySample};
 
 /// Retry budget and backoff shape for storage operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,13 +84,13 @@ pub fn with_io_retry<T, E: Display>(
             Ok(v) => return Ok(v),
             Err(e) => {
                 if attempt < attempts {
-                    if let Some(m) = metrics {
-                        m.record_recovery(RecoverySample::solver(
+                    emit(metrics, || {
+                        Event::Recovery(RecoverySample::solver(
                             RecoveryKind::IoRetry,
                             attempt as usize,
                             format!("{what}: attempt {attempt}/{attempts} failed: {e}"),
-                        ));
-                    }
+                        ))
+                    });
                     let pause = policy.backoff(attempt);
                     if !pause.is_zero() {
                         std::thread::sleep(pause);

@@ -8,13 +8,15 @@
 //! three so every backend — serial, "OpenMP", sparse and the simulated
 //! devices — reports into the same place:
 //!
-//! * [`MetricsSink`] — the recording interface. Backends call
-//!   [`MetricsSink::record_launch`] once per (logical) kernel launch, the
-//!   CG solver calls [`MetricsSink::record_cg_iteration`] once per
-//!   iteration, and the training drivers record wall-clock
-//!   [`MetricsSink::record_span`]s.
-//! * [`Telemetry`] — the standard sink: a lock-protected collector that
-//!   can be snapshotted into a [`TelemetryReport`] at any time.
+//! * [`MetricsSink`] — the recording interface, one method:
+//!   [`MetricsSink::record`] takes an [`Event`]. Backends record an
+//!   [`Event::Launch`] once per (logical) kernel launch, the CG solver an
+//!   [`Event::CgIteration`] once per iteration, the trainers wall-clock
+//!   [`Event::Span`]s, and the server its request, batch, reload and
+//!   overload events.
+//! * [`Telemetry`] — the standard sink: applies each event to a
+//!   lock-protected [`TelemetryReport`] that can be snapshotted at any
+//!   time.
 //! * [`TelemetryReport`] — the immutable result attached to
 //!   [`crate::svm::TrainOutput::telemetry`], with a deterministic subset
 //!   ([`TelemetryReport::deterministic_summary`]) and a line-oriented JSON
@@ -27,7 +29,7 @@
 //! symmetry tricks and sparse storage are implementation details that do
 //! not change what is mathematically computed. Alongside the logical
 //! counters they report the *physical* kernel evaluations each matvec
-//! performs through [`MetricsSink::record_kernel_evals`]: `n(n+1)/2` for
+//! performs through [`Event::KernelEvals`]: `n(n+1)/2` for
 //! the symmetric schedules of the serial and blocked "OpenMP" backends,
 //! `n²` for the full row sweep, `2n` for the "OpenMP" backend's factored
 //! linear-kernel operator — so the effect of symmetry exploitation and
@@ -40,12 +42,16 @@
 //! subset.
 //!
 //! Telemetry is strictly opt-in: a disabled sink costs one `Option` branch
-//! per CG iteration and per matvec — nothing is timed or allocated.
+//! per CG iteration and per matvec — nothing is timed or allocated, and no
+//! [`Event`] is built ([`emit`]).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+use crate::kernel::{PANEL_MR, PANEL_NR};
+use crate::simd::Isa;
 
 /// Canonical span paths used by the training drivers (the hierarchical
 /// replacement of the ad-hoc `ComponentTimes` plumbing).
@@ -216,7 +222,7 @@ pub struct CgOutcomeSample {
 
 /// One randomized low-rank (Nyström) solve's telemetry: the chosen rank,
 /// landmark strategy, factorization cost and achieved accuracy. Recorded
-/// once per low-rank solve through [`MetricsSink::record_lowrank`]; wall
+/// once per low-rank solve as an [`Event::LowRank`]; wall
 /// times are *not* deterministic and are excluded from
 /// [`TelemetryReport::deterministic_summary`].
 #[derive(Debug, Clone, PartialEq)]
@@ -242,27 +248,32 @@ pub struct LowRankSample {
 }
 
 /// The SIMD dispatch decision of a blocked CPU backend: which ISA tier
-/// the panel micro-kernels resolved to, whether it was forced through
-/// `PLSSVM_FORCE_ISA`, and the resulting panel/lane geometry. Recorded
-/// once when a prepared backend is attached to a sink through
-/// [`MetricsSink::record_dispatch`]; fully deterministic for a given host
-/// and environment, but host-dependent — so it is serialized to the JSON
+/// the panel micro-kernels resolved to and whether it was forced through
+/// `PLSSVM_FORCE_ISA` (the panel and lane geometry follow from the tier).
+/// Recorded once when a prepared backend is attached to a sink as an
+/// [`Event::Dispatch`]; fully deterministic for a given host and
+/// environment, but host-dependent — so it is serialized to the JSON
 /// lines yet excluded from [`TelemetryReport::deterministic_summary`]
 /// (which must stay byte-identical across hosts of different ISA tiers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchSample {
-    /// Stable lowercase tier name (`scalar`, `neon`, `avx2`, `avx512`).
-    pub isa: &'static str,
+    /// The tier the micro-kernels run.
+    pub isa: Isa,
     /// Whether `PLSSVM_FORCE_ISA` selected the tier (vs auto-detection).
     pub forced: bool,
-    /// Panel micro-kernel rows (`PANEL_MR`).
-    pub panel_mr: usize,
-    /// Panel micro-kernel columns (`PANEL_NR`).
-    pub panel_nr: usize,
-    /// `f32` SIMD lanes of the tier (1 for scalar).
-    pub lanes_f32: usize,
-    /// `f64` SIMD lanes of the tier (1 for scalar).
-    pub lanes_f64: usize,
+}
+
+impl std::fmt::Display for DispatchSample {
+    /// The `--verbose` and serve-log rendering, e.g.
+    /// `avx2 (f32x8/f64x4, panel 4x4), auto-detected`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let how = if self.forced {
+            "forced via PLSSVM_FORCE_ISA"
+        } else {
+            "auto-detected"
+        };
+        write!(f, "{}, {how}", self.isa.summary())
+    }
 }
 
 /// One flushed micro-batch of the serving layer (`svm-serve`): how many
@@ -379,11 +390,6 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Whether anything was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.batches == 0 && self.requests == 0 && self.reloads.is_empty() && !self.overloaded()
-    }
-
     /// Whether any overload-control event (shed, deadline, drain
     /// rejection, refused connection, reload backoff) was recorded.
     pub fn overloaded(&self) -> bool {
@@ -454,117 +460,99 @@ pub struct SpanRecord {
     pub wall: Duration,
 }
 
+/// One telemetry event: a kernel launch, a CG step, a span, a recovery
+/// event, a solver or dispatch sample, or one of the serving layer's
+/// request, batch, reload and overload events. Each variant is one line
+/// type of [`TelemetryReport::to_json_lines`] (or one counter behind it).
+#[derive(Debug)]
+pub enum Event<'a> {
+    /// `launches` launches of kernel `name` with the given aggregate cost.
+    Launch {
+        /// Kernel name (`q_kernel`, `svm_kernel`, `w_kernel`, …).
+        name: &'a str,
+        /// Launches performed.
+        launches: u64,
+        /// Floating point operations across the launches.
+        flops: u128,
+        /// Global memory traffic across the launches, in bytes.
+        bytes: u128,
+        /// Simulated seconds (0 for CPU backends).
+        sim_time_s: f64,
+    },
+    /// `evals` *physical* kernel evaluations performed under kernel
+    /// `name` — the complement to the logical [`Event::Launch`] counters:
+    /// symmetric CPU schedules report `n(n+1)/2` per matvec where the
+    /// logical convention counts `n²` entries.
+    KernelEvals {
+        /// Kernel name.
+        name: &'a str,
+        /// Physical evaluations performed.
+        evals: u128,
+    },
+    /// The start of a CG solve (`dim` unknowns, `‖r₀‖`); restarts the
+    /// iteration history.
+    CgStart {
+        /// Unknowns of the solve.
+        dim: usize,
+        /// `‖r₀‖`.
+        initial_residual_norm: f64,
+    },
+    /// One CG iteration.
+    CgIteration(CgIterationSample),
+    /// The final classification of a CG solve (or escalation ladder),
+    /// recorded last; the most recent outcome wins.
+    CgOutcome(CgOutcomeSample),
+    /// One wall-clock span.
+    Span {
+        /// Hierarchical span path (see [`spans`]).
+        path: &'a str,
+        /// Wall-clock duration.
+        wall: Duration,
+    },
+    /// One fault-tolerance event (retry, failover, straggler, checkpoint,
+    /// escalation rung, storage retry or degradation).
+    Recovery(RecoverySample),
+    /// One randomized low-rank (Nyström) solve; the most recent wins.
+    LowRank(LowRankSample),
+    /// The SIMD dispatch decision of a blocked CPU backend; the most
+    /// recent wins.
+    Dispatch(DispatchSample),
+    /// One flushed serving micro-batch.
+    ServeBatch(ServeBatchSample),
+    /// One completed serving request.
+    ServeRequest(ServeRequestSample),
+    /// One model hot-reload attempt.
+    ServeReload(ServeReloadSample),
+    /// One overload-control event of the serving layer (shed request,
+    /// expired deadline, drain rejection, or refused connection).
+    ServeShed(ServeShedKind),
+    /// One engagement of the hot-reload circuit breaker.
+    ServeReloadBackoff(ServeReloadBackoffSample),
+}
+
 /// The recording interface of the observability layer.
 ///
-/// Every backend reports into a `MetricsSink`; [`Telemetry`] is the
-/// standard implementation. Implementations must be thread-safe — device
-/// backends record from the (potentially parallel) launch path.
+/// Every backend, solver and server reports into a `MetricsSink`;
+/// [`Telemetry`] is the standard implementation. Implementations must be
+/// thread-safe — device backends record from the (potentially parallel)
+/// launch path.
 pub trait MetricsSink: Send + Sync {
-    /// Records `launches` launches of kernel `name` with the given
-    /// aggregate cost.
-    fn record_launch(&self, name: &str, launches: u64, flops: u128, bytes: u128, sim_time_s: f64);
+    /// Records one event.
+    fn record(&self, event: Event<'_>);
+}
 
-    /// Records the start of a CG solve (`dim` unknowns, `‖r₀‖`).
-    fn record_cg_start(&self, dim: usize, initial_residual_norm: f64);
-
-    /// Records one CG iteration.
-    fn record_cg_iteration(&self, sample: CgIterationSample);
-
-    /// Records one wall-clock span.
-    fn record_span(&self, path: &str, wall: Duration);
-
-    /// Records one fault-tolerance event (retry, failover, straggler,
-    /// checkpoint). Default: discard — sinks that predate the recovery
-    /// schema keep compiling and simply ignore these events.
-    fn record_recovery(&self, sample: RecoverySample) {
-        let _ = sample;
-    }
-
-    /// Records `evals` *physical* kernel evaluations performed under
-    /// kernel `name` — the complement to the logical
-    /// [`MetricsSink::record_launch`] counters: symmetric CPU schedules
-    /// report `n(n+1)/2` per matvec where the logical convention counts
-    /// `n²` entries. Default: discard — sinks that predate this channel
-    /// keep compiling.
-    fn record_kernel_evals(&self, name: &str, evals: u128) {
-        let _ = (name, evals);
-    }
-
-    /// Records the final classification of a CG solve (or escalation
-    /// ladder). Recorded last; when several solves share one sink the
-    /// most recent outcome wins. Default: discard — sinks that predate
-    /// the guardrail schema keep compiling.
-    fn record_cg_outcome(&self, sample: CgOutcomeSample) {
-        let _ = sample;
-    }
-
-    /// Records one randomized low-rank (Nyström) solve: rank, strategy,
-    /// factorization cost and achieved accuracy. When several solves share
-    /// one sink the most recent sample wins. Default: discard — sinks
-    /// that predate the low-rank solver keep compiling.
-    fn record_lowrank(&self, sample: LowRankSample) {
-        let _ = sample;
-    }
-
-    /// Records the SIMD dispatch decision of a blocked CPU backend (ISA
-    /// tier, forced/auto, panel and lane geometry). When several backends
-    /// share one sink the most recent sample wins. Default: discard —
-    /// sinks that predate the SIMD engine keep compiling.
-    fn record_dispatch(&self, sample: DispatchSample) {
-        let _ = sample;
-    }
-
-    /// Records one flushed serving micro-batch. Default: discard — sinks
-    /// that predate the serving layer keep compiling.
-    fn record_serve_batch(&self, sample: ServeBatchSample) {
-        let _ = sample;
-    }
-
-    /// Records one completed serving request. Default: discard — sinks
-    /// that predate the serving layer keep compiling.
-    fn record_serve_request(&self, sample: ServeRequestSample) {
-        let _ = sample;
-    }
-
-    /// Records one model hot-reload attempt. Default: discard — sinks
-    /// that predate the serving layer keep compiling.
-    fn record_serve_reload(&self, sample: ServeReloadSample) {
-        let _ = sample;
-    }
-
-    /// Records one overload-control event of the serving layer (shed
-    /// request, expired deadline, drain rejection, or refused
-    /// connection). Default: discard — sinks that predate the overload
-    /// layer keep compiling.
-    fn record_serve_shed(&self, kind: ServeShedKind) {
-        let _ = kind;
-    }
-
-    /// Records one engagement of the hot-reload circuit breaker.
-    /// Default: discard — sinks that predate the overload layer keep
-    /// compiling.
-    fn record_serve_reload_backoff(&self, sample: ServeReloadBackoffSample) {
-        let _ = sample;
+/// Records the event `make` builds when a sink is attached. Without one
+/// this costs one `Option` branch: no event is built and no detail string
+/// formatted.
+#[inline]
+pub fn emit<'a>(metrics: Option<&dyn MetricsSink>, make: impl FnOnce() -> Event<'a>) {
+    if let Some(sink) = metrics {
+        sink.record(make());
     }
 }
 
-#[derive(Debug, Default)]
-struct TelemetryState {
-    kernels: BTreeMap<String, KernelCounter>,
-    kernel_evals: BTreeMap<String, u128>,
-    cg_dim: Option<usize>,
-    cg_initial_residual_norm: Option<f64>,
-    cg: Vec<CgIterationSample>,
-    cg_outcome: Option<CgOutcomeSample>,
-    lowrank: Option<LowRankSample>,
-    dispatch: Option<DispatchSample>,
-    spans: Vec<SpanRecord>,
-    recovery: Vec<RecoverySample>,
-    serve: ServeStats,
-}
-
-/// The standard [`MetricsSink`]: collects everything behind a lock and
-/// snapshots into a [`TelemetryReport`].
+/// The standard [`MetricsSink`]: applies every event to a
+/// [`TelemetryReport`] behind a lock, and snapshots it on demand.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -585,7 +573,7 @@ struct TelemetryState {
 /// ```
 #[derive(Debug, Default)]
 pub struct Telemetry {
-    state: Mutex<TelemetryState>,
+    report: Mutex<TelemetryReport>,
 }
 
 impl Telemetry {
@@ -600,121 +588,78 @@ impl Telemetry {
         Arc::new(Self::new())
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, TelemetryState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Snapshots the collected data.
     pub fn report(&self) -> TelemetryReport {
-        let s = self.lock();
-        TelemetryReport {
-            kernels: s.kernels.clone(),
-            kernel_evals: s.kernel_evals.clone(),
-            cg_dim: s.cg_dim,
-            cg_initial_residual_norm: s.cg_initial_residual_norm,
-            cg: s.cg.clone(),
-            cg_outcome: s.cg_outcome,
-            lowrank: s.lowrank.clone(),
-            dispatch: s.dispatch,
-            spans: s.spans.clone(),
-            recovery: s.recovery.clone(),
-            serve: s.serve.clone(),
-        }
-    }
-
-    /// Clears all collected data (for sink reuse across runs).
-    pub fn reset(&self) {
-        *self.lock() = TelemetryState::default();
+        self.report
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
     }
 }
 
 impl MetricsSink for Telemetry {
-    fn record_launch(&self, name: &str, launches: u64, flops: u128, bytes: u128, sim_time_s: f64) {
-        let mut s = self.lock();
-        let entry = s.kernels.entry(name.to_owned()).or_default();
-        entry.launches += launches;
-        entry.flops += flops;
-        entry.bytes += bytes;
-        entry.sim_time_s += sim_time_s;
-    }
-
-    fn record_cg_start(&self, dim: usize, initial_residual_norm: f64) {
-        let mut s = self.lock();
-        s.cg_dim = Some(dim);
-        s.cg_initial_residual_norm = Some(initial_residual_norm);
-        s.cg.clear();
-    }
-
-    fn record_cg_iteration(&self, sample: CgIterationSample) {
-        self.lock().cg.push(sample);
-    }
-
-    fn record_span(&self, path: &str, wall: Duration) {
-        self.lock().spans.push(SpanRecord {
-            path: path.to_owned(),
-            wall,
-        });
-    }
-
-    fn record_recovery(&self, sample: RecoverySample) {
-        self.lock().recovery.push(sample);
-    }
-
-    fn record_kernel_evals(&self, name: &str, evals: u128) {
-        let mut s = self.lock();
-        *s.kernel_evals.entry(name.to_owned()).or_default() += evals;
-    }
-
-    fn record_cg_outcome(&self, sample: CgOutcomeSample) {
-        self.lock().cg_outcome = Some(sample);
-    }
-
-    fn record_lowrank(&self, sample: LowRankSample) {
-        self.lock().lowrank = Some(sample);
-    }
-
-    fn record_dispatch(&self, sample: DispatchSample) {
-        self.lock().dispatch = Some(sample);
-    }
-
-    fn record_serve_batch(&self, sample: ServeBatchSample) {
-        let mut s = self.lock();
-        let serve = &mut s.serve;
-        serve.batches += 1;
-        *serve.batch_size_hist.entry(sample.batch_size).or_default() += 1;
-        serve.max_queue_depth = serve.max_queue_depth.max(sample.queue_depth);
-        serve.queued_us_sum += sample.queued_us;
-        serve.process_us_sum += sample.process_us;
-    }
-
-    fn record_serve_request(&self, sample: ServeRequestSample) {
-        let mut s = self.lock();
-        let serve = &mut s.serve;
-        serve.requests += 1;
-        if !sample.ok {
-            serve.request_errors += 1;
+    fn record(&self, event: Event<'_>) {
+        let mut guard = self.report.lock().unwrap_or_else(|e| e.into_inner());
+        let r = &mut *guard;
+        let serve = &mut r.serve;
+        match event {
+            Event::Launch {
+                name,
+                launches,
+                flops,
+                bytes,
+                sim_time_s,
+            } => {
+                let entry = r.kernels.entry(name.to_owned()).or_default();
+                entry.launches += launches;
+                entry.flops += flops;
+                entry.bytes += bytes;
+                entry.sim_time_s += sim_time_s;
+            }
+            Event::KernelEvals { name, evals } => {
+                *r.kernel_evals.entry(name.to_owned()).or_default() += evals;
+            }
+            Event::CgStart {
+                dim,
+                initial_residual_norm,
+            } => {
+                r.cg_dim = Some(dim);
+                r.cg_initial_residual_norm = Some(initial_residual_norm);
+                r.cg.clear();
+            }
+            Event::CgIteration(sample) => r.cg.push(sample),
+            Event::CgOutcome(sample) => r.cg_outcome = Some(sample),
+            Event::Span { path, wall } => r.spans.push(SpanRecord {
+                path: path.to_owned(),
+                wall,
+            }),
+            Event::Recovery(sample) => r.recovery.push(sample),
+            Event::LowRank(sample) => r.lowrank = Some(sample),
+            Event::Dispatch(sample) => r.dispatch = Some(sample),
+            Event::ServeBatch(sample) => {
+                serve.batches += 1;
+                *serve.batch_size_hist.entry(sample.batch_size).or_default() += 1;
+                serve.max_queue_depth = serve.max_queue_depth.max(sample.queue_depth);
+                serve.queued_us_sum += sample.queued_us;
+                serve.process_us_sum += sample.process_us;
+            }
+            Event::ServeRequest(sample) => {
+                serve.requests += 1;
+                if !sample.ok {
+                    serve.request_errors += 1;
+                }
+                serve.latency_us_sum += sample.latency_us;
+                serve.latency_us_max = serve.latency_us_max.max(sample.latency_us);
+            }
+            Event::ServeReload(sample) => serve.reloads.push(sample),
+            Event::ServeShed(kind) => match kind {
+                ServeShedKind::Overloaded => serve.shed_overloaded += 1,
+                ServeShedKind::DeadlineExceeded => serve.shed_deadline += 1,
+                ServeShedKind::ShuttingDown => serve.shed_draining += 1,
+                ServeShedKind::RefusedConnection => serve.refused_connections += 1,
+            },
+            Event::ServeReloadBackoff(sample) => serve.reload_backoffs.push(sample),
         }
-        serve.latency_us_sum += sample.latency_us;
-        serve.latency_us_max = serve.latency_us_max.max(sample.latency_us);
-    }
-
-    fn record_serve_reload(&self, sample: ServeReloadSample) {
-        self.lock().serve.reloads.push(sample);
-    }
-
-    fn record_serve_shed(&self, kind: ServeShedKind) {
-        let mut s = self.lock();
-        let serve = &mut s.serve;
-        match kind {
-            ServeShedKind::Overloaded => serve.shed_overloaded += 1,
-            ServeShedKind::DeadlineExceeded => serve.shed_deadline += 1,
-            ServeShedKind::ShuttingDown => serve.shed_draining += 1,
-            ServeShedKind::RefusedConnection => serve.refused_connections += 1,
-        }
-    }
-
-    fn record_serve_reload_backoff(&self, sample: ServeReloadBackoffSample) {
-        self.lock().serve.reload_backoffs.push(sample);
     }
 }
 
@@ -907,7 +852,7 @@ impl TelemetryReport {
     /// * `{"type":"span","path":"train/cg","wall_s":x}`
     /// * `{"type":"recovery","kind":"retry|failover|straggler|checkpoint|`
     ///   `restart|precondition|precision_escalation|numeric_fault|`
-    ///   `solver_fallback","device":n|null,"at_launch":n|null,`
+    ///   `solver_fallback|io_retry|io_degraded","device":n|null,"at_launch":n|null,`
     ///   `"iteration":n|null,"detail":"..."}`
     /// * `{"type":"serve_batches","count":n,"max_queue_depth":n,`
     ///   `"queued_us_sum":n,"process_us_sum":n,"mean_batch_size":x}` —
@@ -998,13 +943,11 @@ impl TelemetryReport {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"simd_dispatch\",\"isa\":{},\"forced\":{},\
-                 \"panel_mr\":{},\"panel_nr\":{},\"lanes_f32\":{},\"lanes_f64\":{}}}",
-                json_str(d.isa),
+                 \"panel_mr\":{PANEL_MR},\"panel_nr\":{PANEL_NR},\"lanes_f32\":{},\"lanes_f64\":{}}}",
+                json_str(d.isa.name()),
                 d.forced,
-                d.panel_mr,
-                d.panel_nr,
-                d.lanes_f32,
-                d.lanes_f64
+                d.isa.lanes_f32(),
+                d.isa.lanes_f64()
             );
         }
         for s in &self.spans {
@@ -1164,7 +1107,10 @@ impl SpanRecorder {
     /// Replays every recorded span into a sink.
     pub fn flush_into(&self, sink: &dyn MetricsSink) {
         for s in &self.spans {
-            sink.record_span(&s.path, s.wall);
+            sink.record(Event::Span {
+                path: &s.path,
+                wall: s.wall,
+            });
         }
     }
 }
@@ -1186,9 +1132,27 @@ mod tests {
     #[test]
     fn kernel_counters_accumulate() {
         let t = Telemetry::new();
-        t.record_launch("svm_kernel", 1, 100, 10, 0.5);
-        t.record_launch("svm_kernel", 2, 100, 10, 0.5);
-        t.record_launch("q_kernel", 1, 7, 3, 0.25);
+        t.record(Event::Launch {
+            name: "svm_kernel",
+            launches: 1,
+            flops: 100,
+            bytes: 10,
+            sim_time_s: 0.5,
+        });
+        t.record(Event::Launch {
+            name: "svm_kernel",
+            launches: 2,
+            flops: 100,
+            bytes: 10,
+            sim_time_s: 0.5,
+        });
+        t.record(Event::Launch {
+            name: "q_kernel",
+            launches: 1,
+            flops: 7,
+            bytes: 3,
+            sim_time_s: 0.25,
+        });
         let r = t.report();
         assert_eq!(r.kernels["svm_kernel"].launches, 3);
         assert_eq!(r.kernels["svm_kernel"].flops, 200);
@@ -1201,12 +1165,18 @@ mod tests {
     #[test]
     fn cg_samples_in_order_and_start_resets() {
         let t = Telemetry::new();
-        t.record_cg_start(8, 2.0);
-        t.record_cg_iteration(sample(1));
-        t.record_cg_iteration(sample(2));
+        t.record(Event::CgStart {
+            dim: 8,
+            initial_residual_norm: 2.0,
+        });
+        t.record(Event::CgIteration(sample(1)));
+        t.record(Event::CgIteration(sample(2)));
         // a second solve on the same sink restarts the history
-        t.record_cg_start(8, 2.0);
-        t.record_cg_iteration(sample(1));
+        t.record(Event::CgStart {
+            dim: 8,
+            initial_residual_norm: 2.0,
+        });
+        t.record(Event::CgIteration(sample(1)));
         let r = t.report();
         assert_eq!(r.iterations(), 1);
         assert_eq!(r.cg_dim, Some(8));
@@ -1218,13 +1188,25 @@ mod tests {
     fn deterministic_summary_is_stable_and_ignores_walltime() {
         let build = |wall_us: u64| {
             let t = Telemetry::new();
-            t.record_cg_start(4, 1.5);
-            t.record_launch("svm_kernel", 1, 123, 456, 0.75);
-            t.record_cg_iteration(CgIterationSample {
+            t.record(Event::CgStart {
+                dim: 4,
+                initial_residual_norm: 1.5,
+            });
+            t.record(Event::Launch {
+                name: "svm_kernel",
+                launches: 1,
+                flops: 123,
+                bytes: 456,
+                sim_time_s: 0.75,
+            });
+            t.record(Event::CgIteration(CgIterationSample {
                 matvec_wall: Duration::from_micros(wall_us),
                 ..sample(1)
+            }));
+            t.record(Event::Span {
+                path: spans::CG,
+                wall: Duration::from_micros(wall_us),
             });
-            t.record_span(spans::CG, Duration::from_micros(wall_us));
             t.report().deterministic_summary()
         };
         assert_eq!(build(10), build(99_999));
@@ -1234,10 +1216,22 @@ mod tests {
     #[test]
     fn json_lines_have_documented_shape() {
         let t = Telemetry::new();
-        t.record_cg_start(4, 1.5);
-        t.record_cg_iteration(sample(1));
-        t.record_launch("q_kernel", 1, 10, 20, 0.0);
-        t.record_span(spans::TRAIN, Duration::from_millis(5));
+        t.record(Event::CgStart {
+            dim: 4,
+            initial_residual_norm: 1.5,
+        });
+        t.record(Event::CgIteration(sample(1)));
+        t.record(Event::Launch {
+            name: "q_kernel",
+            launches: 1,
+            flops: 10,
+            bytes: 20,
+            sim_time_s: 0.0,
+        });
+        t.record(Event::Span {
+            path: spans::TRAIN,
+            wall: Duration::from_millis(5),
+        });
         let json = t.report().to_json_lines();
         let lines: Vec<&str> = json.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -1253,8 +1247,14 @@ mod tests {
     #[test]
     fn kernel_evals_accumulate_and_serialize() {
         let t = Telemetry::new();
-        t.record_kernel_evals("svm_kernel", 55);
-        t.record_kernel_evals("svm_kernel", 55);
+        t.record(Event::KernelEvals {
+            name: "svm_kernel",
+            evals: 55,
+        });
+        t.record(Event::KernelEvals {
+            name: "svm_kernel",
+            evals: 55,
+        });
         let r = t.report();
         assert_eq!(r.kernel_evals["svm_kernel"], 110);
         assert!(r
@@ -1271,16 +1271,19 @@ mod tests {
     #[test]
     fn recovery_events_are_recorded_and_serialized() {
         let t = Telemetry::new();
-        t.record_recovery(RecoverySample::device_event(
+        t.record(Event::Recovery(RecoverySample::device_event(
             RecoveryKind::Retry,
             1,
             5,
             "transient timeout, retry 1",
-        ));
-        t.record_recovery(RecoverySample::checkpoint(8));
+        )));
+        t.record(Event::Recovery(RecoverySample::checkpoint(8)));
         // cg_start must NOT clear recovery history: device-setup faults
         // legitimately predate the solve.
-        t.record_cg_start(4, 1.0);
+        t.record(Event::CgStart {
+            dim: 4,
+            initial_residual_norm: 1.0,
+        });
         let r = t.report();
         assert_eq!(r.recovery.len(), 2);
         assert_eq!(r.recovery[0].kind, RecoveryKind::Retry);
@@ -1303,7 +1306,7 @@ mod tests {
     #[test]
     fn lowrank_sample_is_recorded_and_serialized() {
         let t = Telemetry::new();
-        t.record_lowrank(LowRankSample {
+        t.record(Event::LowRank(LowRankSample {
             rank: 64,
             strategy: "uniform",
             jitter_steps: 2,
@@ -1311,7 +1314,7 @@ mod tests {
             pcg_iterations: 7,
             assembly_wall: Duration::from_micros(123),
             solve_wall: Duration::from_micros(456),
-        });
+        }));
         let r = t.report();
         assert_eq!(r.lowrank.as_ref().unwrap().rank, 64);
         let json = r.to_json_lines();
@@ -1322,11 +1325,11 @@ mod tests {
         // deterministic summary includes the rank/residual but no wall time
         let wall_free = {
             let t2 = Telemetry::new();
-            t2.record_lowrank(LowRankSample {
+            t2.record(Event::LowRank(LowRankSample {
                 assembly_wall: Duration::from_secs(9),
                 solve_wall: Duration::from_secs(9),
                 ..r.lowrank.clone().unwrap()
-            });
+            }));
             t2.report().deterministic_summary()
         };
         assert_eq!(r.deterministic_summary(), wall_free);
@@ -1336,16 +1339,17 @@ mod tests {
     #[test]
     fn dispatch_sample_serializes_but_stays_out_of_deterministic_summary() {
         let t = Telemetry::new();
-        t.record_dispatch(DispatchSample {
-            isa: "avx2",
+        let sample = DispatchSample {
+            isa: Isa::Avx2,
             forced: true,
-            panel_mr: 4,
-            panel_nr: 4,
-            lanes_f32: 8,
-            lanes_f64: 4,
-        });
+        };
+        t.record(Event::Dispatch(sample));
         let r = t.report();
-        assert_eq!(r.dispatch.as_ref().unwrap().isa, "avx2");
+        assert_eq!(r.dispatch.as_ref().unwrap().isa, Isa::Avx2);
+        assert_eq!(
+            sample.to_string(),
+            "avx2 (f32x8/f64x4, panel 4x4), forced via PLSSVM_FORCE_ISA"
+        );
         let json = r.to_json_lines();
         assert!(json.contains(
             "{\"type\":\"simd_dispatch\",\"isa\":\"avx2\",\"forced\":true,\
@@ -1361,42 +1365,42 @@ mod tests {
     #[test]
     fn serve_stats_aggregate_boundedly_and_serialize() {
         let t = Telemetry::new();
-        t.record_serve_batch(ServeBatchSample {
+        t.record(Event::ServeBatch(ServeBatchSample {
             batch_size: 3,
             queue_depth: 5,
             queued_us: 100,
             process_us: 40,
-        });
-        t.record_serve_batch(ServeBatchSample {
+        }));
+        t.record(Event::ServeBatch(ServeBatchSample {
             batch_size: 3,
             queue_depth: 1,
             queued_us: 50,
             process_us: 60,
-        });
-        t.record_serve_batch(ServeBatchSample {
+        }));
+        t.record(Event::ServeBatch(ServeBatchSample {
             batch_size: 1,
             queue_depth: 0,
             queued_us: 0,
             process_us: 10,
-        });
-        t.record_serve_request(ServeRequestSample {
+        }));
+        t.record(Event::ServeRequest(ServeRequestSample {
             latency_us: 200,
             ok: true,
-        });
-        t.record_serve_request(ServeRequestSample {
+        }));
+        t.record(Event::ServeRequest(ServeRequestSample {
             latency_us: 400,
             ok: false,
-        });
-        t.record_serve_reload(ServeReloadSample {
+        }));
+        t.record(Event::ServeReload(ServeReloadSample {
             generation: 2,
             accepted: true,
             detail: "binary model, 8 features".into(),
-        });
-        t.record_serve_reload(ServeReloadSample {
+        }));
+        t.record(Event::ServeReload(ServeReloadSample {
             generation: 2,
             accepted: false,
             detail: "torn file".into(),
-        });
+        }));
         let r = t.report();
         assert_eq!(r.serve.batches, 3);
         assert_eq!(r.serve.batch_size_hist[&3], 2);
@@ -1418,28 +1422,28 @@ mod tests {
         assert_eq!(r.deterministic_summary(), empty.deterministic_summary());
         // sinks never touched by a server emit no serve lines
         assert!(!empty.to_json_lines().contains("serve_"));
-        assert!(empty.serve.is_empty() && !r.serve.is_empty());
+        assert!(empty.serve == ServeStats::default() && r.serve != ServeStats::default());
     }
 
     #[test]
     fn serve_overload_counters_reach_deterministic_summary_and_json() {
         let t = Telemetry::new();
-        t.record_serve_shed(ServeShedKind::Overloaded);
-        t.record_serve_shed(ServeShedKind::Overloaded);
-        t.record_serve_shed(ServeShedKind::DeadlineExceeded);
-        t.record_serve_shed(ServeShedKind::ShuttingDown);
-        t.record_serve_shed(ServeShedKind::RefusedConnection);
-        t.record_serve_reload_backoff(ServeReloadBackoffSample {
+        t.record(Event::ServeShed(ServeShedKind::Overloaded));
+        t.record(Event::ServeShed(ServeShedKind::Overloaded));
+        t.record(Event::ServeShed(ServeShedKind::DeadlineExceeded));
+        t.record(Event::ServeShed(ServeShedKind::ShuttingDown));
+        t.record(Event::ServeShed(ServeShedKind::RefusedConnection));
+        t.record(Event::ServeReloadBackoff(ServeReloadBackoffSample {
             consecutive_failures: 3,
             backoff_us: 1_000_000,
-        });
+        }));
         let r = t.report();
         assert_eq!(r.serve.shed_overloaded, 2);
         assert_eq!(r.serve.shed_deadline, 1);
         assert_eq!(r.serve.shed_draining, 1);
         assert_eq!(r.serve.refused_connections, 1);
         assert_eq!(r.serve.reload_backoffs.len(), 1);
-        assert!(r.serve.overloaded() && !r.serve.is_empty());
+        assert!(r.serve.overloaded() && r.serve != ServeStats::default());
         // unlike the timing-dependent serve stats, shed COUNTS are exact
         // under a fixed request schedule, so they pin into the
         // deterministic summary — and only when something was shed
@@ -1466,6 +1470,165 @@ mod tests {
         assert!(!clean.to_json_lines().contains("serve_overload"));
     }
 
+    /// Pins the complete `--metrics-out` schema and line order, and the
+    /// complete deterministic summary, for one event of every kind.
+    #[test]
+    fn every_event_kind_has_a_golden_serialization() {
+        let t = Telemetry::new();
+        t.record(Event::Dispatch(DispatchSample {
+            isa: Isa::Avx2,
+            forced: false,
+        }));
+        t.record(Event::Launch {
+            name: "q_kernel",
+            launches: 1,
+            flops: 10,
+            bytes: 20,
+            sim_time_s: 0.0,
+        });
+        t.record(Event::Launch {
+            name: "svm_kernel",
+            launches: 2,
+            flops: 300,
+            bytes: 400,
+            sim_time_s: 0.5,
+        });
+        t.record(Event::Recovery(RecoverySample::device_event(
+            RecoveryKind::Retry,
+            1,
+            5,
+            "transient \"timeout\"",
+        )));
+        t.record(Event::CgStart {
+            dim: 3,
+            initial_residual_norm: 2.0,
+        });
+        t.record(Event::CgIteration(CgIterationSample {
+            iteration: 1,
+            residual_norm: 0.5,
+            alpha: 0.25,
+            beta: 0.125,
+            matvec_wall: Duration::from_micros(1500),
+        }));
+        t.record(Event::KernelEvals {
+            name: "svm_kernel",
+            evals: 6,
+        });
+        t.record(Event::Recovery(RecoverySample::checkpoint(1)));
+        t.record(Event::CgOutcome(CgOutcomeSample {
+            outcome: "converged",
+            iterations: 1,
+            final_residual_norm: 0.5,
+            relative_residual: 0.25,
+        }));
+        t.record(Event::LowRank(LowRankSample {
+            rank: 2,
+            strategy: "leverage",
+            jitter_steps: 1,
+            direct_relative_residual: 0.001,
+            pcg_iterations: 3,
+            assembly_wall: Duration::from_millis(2),
+            solve_wall: Duration::from_millis(4),
+        }));
+        t.record(Event::Span {
+            path: spans::CG_SOLVE,
+            wall: Duration::from_millis(250),
+        });
+        t.record(Event::Span {
+            path: spans::TRAIN,
+            wall: Duration::from_secs(1),
+        });
+        t.record(Event::ServeBatch(ServeBatchSample {
+            batch_size: 2,
+            queue_depth: 1,
+            queued_us: 30,
+            process_us: 12,
+        }));
+        t.record(Event::ServeBatch(ServeBatchSample {
+            batch_size: 1,
+            queue_depth: 0,
+            queued_us: 5,
+            process_us: 4,
+        }));
+        t.record(Event::ServeRequest(ServeRequestSample {
+            latency_us: 40,
+            ok: true,
+        }));
+        t.record(Event::ServeRequest(ServeRequestSample {
+            latency_us: 60,
+            ok: false,
+        }));
+        t.record(Event::ServeReload(ServeReloadSample {
+            generation: 2,
+            accepted: true,
+            detail: "binary model, 4 features".into(),
+        }));
+        t.record(Event::ServeShed(ServeShedKind::Overloaded));
+        t.record(Event::ServeShed(ServeShedKind::DeadlineExceeded));
+        t.record(Event::ServeShed(ServeShedKind::ShuttingDown));
+        t.record(Event::ServeShed(ServeShedKind::RefusedConnection));
+        t.record(Event::ServeReloadBackoff(ServeReloadBackoffSample {
+            consecutive_failures: 3,
+            backoff_us: 250_000,
+        }));
+        let r = t.report();
+        assert_eq!(
+            r.to_json_lines(),
+            "{\"type\":\"cg_start\",\"dim\":3,\"initial_residual_norm\":2.0}\n\
+             {\"type\":\"cg_iteration\",\"iteration\":1,\"residual_norm\":0.5,\"alpha\":0.25,\
+             \"beta\":0.125,\"matvec_wall_s\":0.0015}\n\
+             {\"type\":\"kernel\",\"name\":\"q_kernel\",\"launches\":1,\"flops\":10,\
+             \"bytes\":20,\"sim_time_s\":0.0}\n\
+             {\"type\":\"kernel\",\"name\":\"svm_kernel\",\"launches\":2,\"flops\":300,\
+             \"bytes\":400,\"sim_time_s\":0.5}\n\
+             {\"type\":\"kernel_evals\",\"name\":\"svm_kernel\",\"evals\":6}\n\
+             {\"type\":\"cg_outcome\",\"outcome\":\"converged\",\"iterations\":1,\
+             \"final_residual_norm\":0.5,\"relative_residual\":0.25}\n\
+             {\"type\":\"lowrank\",\"rank\":2,\"strategy\":\"leverage\",\"jitter_steps\":1,\
+             \"direct_relative_residual\":0.001,\"pcg_iterations\":3,\
+             \"assembly_wall_s\":0.002,\"solve_wall_s\":0.004}\n\
+             {\"type\":\"simd_dispatch\",\"isa\":\"avx2\",\"forced\":false,\"panel_mr\":4,\
+             \"panel_nr\":4,\"lanes_f32\":8,\"lanes_f64\":4}\n\
+             {\"type\":\"span\",\"path\":\"train/cg/solve\",\"wall_s\":0.25}\n\
+             {\"type\":\"span\",\"path\":\"train\",\"wall_s\":1.0}\n\
+             {\"type\":\"recovery\",\"kind\":\"retry\",\"device\":1,\"at_launch\":5,\
+             \"iteration\":null,\"detail\":\"transient \\\"timeout\\\"\"}\n\
+             {\"type\":\"recovery\",\"kind\":\"checkpoint\",\"device\":null,\"at_launch\":null,\
+             \"iteration\":1,\"detail\":\"cg state snapshot\"}\n\
+             {\"type\":\"serve_batches\",\"count\":2,\"max_queue_depth\":1,\"queued_us_sum\":35,\
+             \"process_us_sum\":16,\"mean_batch_size\":1.5}\n\
+             {\"type\":\"serve_batch_size\",\"size\":1,\"count\":1}\n\
+             {\"type\":\"serve_batch_size\",\"size\":2,\"count\":1}\n\
+             {\"type\":\"serve_requests\",\"count\":2,\"errors\":1,\"latency_us_sum\":100,\
+             \"latency_us_max\":60,\"mean_latency_us\":50.0}\n\
+             {\"type\":\"serve_reload\",\"generation\":2,\"accepted\":true,\
+             \"detail\":\"binary model, 4 features\"}\n\
+             {\"type\":\"serve_overload\",\"shed\":1,\"deadline_exceeded\":1,\
+             \"rejected_draining\":1,\"refused_connections\":1}\n\
+             {\"type\":\"serve_reload_backoff\",\"consecutive_failures\":3,\
+             \"backoff_us\":250000}\n"
+        );
+        assert_eq!(
+            r.deterministic_summary(),
+            "iterations=1\n\
+             cg_dim=3\n\
+             initial_residual_bits=4000000000000000\n\
+             kernel=q_kernel launches=1 flops=10 bytes=20\n\
+             kernel=svm_kernel launches=2 flops=300 bytes=400\n\
+             kernel_evals=svm_kernel evals=6\n\
+             iter=1 residual_bits=3fe0000000000000 alpha_bits=3fd0000000000000 \
+             beta_bits=3fc0000000000000\n\
+             outcome=converged iterations=1 final_residual_bits=3fe0000000000000 \
+             relative_residual_bits=3fd0000000000000\n\
+             lowrank rank=2 strategy=leverage jitter_steps=1 \
+             direct_residual_bits=3f50624dd2f1a9fc pcg_iterations=3\n\
+             recovery=retry device=1 launch=5 iter=- detail=transient \"timeout\"\n\
+             recovery=checkpoint device=- launch=- iter=1 detail=cg state snapshot\n\
+             serve_overload shed=1 deadline_exceeded=1 rejected_draining=1 \
+             refused_connections=1 reload_backoffs=1\n"
+        );
+    }
+
     #[test]
     fn json_escaping_and_nonfinite_floats() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
@@ -1487,15 +1650,5 @@ mod tests {
         let r = t.report();
         assert_eq!(r.spans.len(), 2);
         assert_eq!(r.span(spans::READ), Duration::from_millis(3));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let t = Telemetry::new();
-        t.record_launch("k", 1, 1, 1, 0.0);
-        t.record_cg_start(2, 1.0);
-        t.record_cg_iteration(sample(1));
-        t.reset();
-        assert_eq!(t.report(), TelemetryReport::default());
     }
 }

@@ -4,8 +4,10 @@
 //! share a directory, whether they run on parallel threads of one test
 //! binary or in concurrent test processes.
 //!
-//! Integration tests use it as `mod scratch;`; the crate's unit tests
-//! include the same file.
+//! Core's integration tests use it as `mod scratch;`; every other test
+//! that needs a scratch directory (core's unit tests, the data and CLI
+//! crates' tests, the workspace root's tests) includes this same file
+//! through `#[path]`.
 
 // every including crate uses a different subset of the helpers
 #![allow(dead_code)]

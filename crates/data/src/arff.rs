@@ -253,13 +253,11 @@ mod tests {
     fn file_roundtrip_and_libsvm_equivalence() {
         // the same data through ARFF and LIBSVM readers gives the same set
         let d: LabeledData<f64> = read_arff_str(SAMPLE).unwrap();
-        let dir = std::env::temp_dir().join("plssvm_arff_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch::ScratchDir::new("arff");
         let path = dir.join("planes.arff");
         write_arff_file(&path, &d, "planes").unwrap();
         let back: LabeledData<f64> = read_arff_file(&path).unwrap();
         assert_eq!(d, back);
-        std::fs::remove_file(&path).ok();
 
         let libsvm_text = crate::libsvm::write_libsvm_string(&d, true);
         let via_libsvm: LabeledData<f64> =

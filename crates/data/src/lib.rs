@@ -37,6 +37,9 @@ pub mod real;
 pub mod sampling;
 pub mod sat6;
 pub mod scale;
+#[cfg(test)]
+#[path = "../../core/tests/scratch/mod.rs"]
+mod scratch;
 pub mod sparse;
 pub mod split;
 pub mod synthetic;

@@ -575,13 +575,11 @@ mod tests {
     #[test]
     fn file_roundtrip() {
         let d: LabeledData<f64> = read_libsvm_str(SAMPLE, None).unwrap();
-        let dir = std::env::temp_dir().join("plssvm_data_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch::ScratchDir::new("libsvm");
         let path = dir.join("roundtrip.libsvm");
         write_libsvm_file(&path, &d, true).unwrap();
         let d2: LabeledData<f64> = read_libsvm_file(&path, Some(3)).unwrap();
         assert_eq!(d, d2);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

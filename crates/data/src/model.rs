@@ -832,13 +832,11 @@ mod tests {
     #[test]
     fn file_roundtrip() {
         let m = sample_model();
-        let dir = std::env::temp_dir().join("plssvm_model_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch::ScratchDir::new("model");
         let path = dir.join("model.libsvm");
         m.save(&path).unwrap();
         let m2 = SvmModel::<f64>::load(&path).unwrap();
         assert_eq!(m, m2);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -916,13 +914,11 @@ mod tests {
     #[test]
     fn svr_file_roundtrip() {
         let m = sample_svr();
-        let dir = std::env::temp_dir().join("plssvm_model_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch::ScratchDir::new("svr-model");
         let path = dir.join("svr.model");
         m.save(&path).unwrap();
         let m2 = SvrModel::<f64>::load(&path).unwrap();
         assert_eq!(m, m2);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

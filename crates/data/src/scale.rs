@@ -262,13 +262,11 @@ mod tests {
     fn range_file_roundtrip() {
         let m = sample();
         let p = ScalingParams::fit(&m, 0.0, 2.0).unwrap();
-        let dir = std::env::temp_dir().join("plssvm_scale_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::scratch::ScratchDir::new("scale");
         let path = dir.join("ranges.txt");
         p.save(&path).unwrap();
         let p2 = ScalingParams::<f64>::load(&path).unwrap();
         assert_eq!(p, p2);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

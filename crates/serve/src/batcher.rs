@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use plssvm_core::trace::{MetricsSink, ServeBatchSample, ServeShedKind};
+use plssvm_core::trace::{emit, Event, MetricsSink, ServeBatchSample, ServeShedKind};
 
 use crate::clock::Clock;
 
@@ -529,9 +529,9 @@ fn run_batch<R, S>(shared: &BatcherShared<R, S>, flush: Flush<(R, Ticket<S>)>) {
             // structured internal error) rather than hang the submitter
             None => ticket.close(),
         }
-        if let Some(metrics) = &shared.metrics {
-            metrics.record_serve_shed(ServeShedKind::DeadlineExceeded);
-        }
+        emit(shared.metrics.as_deref(), || {
+            Event::ServeShed(ServeShedKind::DeadlineExceeded)
+        });
     }
     if items.is_empty() {
         // the wake was for expiries alone — no batch ran, so no batch
@@ -562,14 +562,14 @@ fn run_batch<R, S>(shared: &BatcherShared<R, S>, flush: Flush<(R, Ticket<S>)>) {
             }
         }
     }
-    if let Some(metrics) = &shared.metrics {
-        metrics.record_serve_batch(ServeBatchSample {
+    emit(shared.metrics.as_deref(), || {
+        Event::ServeBatch(ServeBatchSample {
             batch_size,
             queue_depth: remaining,
             queued_us: oldest_wait_us,
             process_us,
-        });
-    }
+        })
+    });
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use plssvm_core::trace::{MetricsSink, ServeRequestSample, ServeShedKind};
+use plssvm_core::trace::{emit, Event, MetricsSink, ServeRequestSample, ServeShedKind};
 use plssvm_data::dense::DenseMatrix;
 
 use crate::batcher::{Batcher, BatcherConfig, Shed, Ticket};
@@ -193,9 +193,7 @@ impl Engine {
     }
 
     fn shed(&self, format: QueryFormat, id: Option<String>, kind: ServeShedKind) -> Pending {
-        if let Some(metrics) = &self.metrics {
-            metrics.record_serve_shed(kind);
-        }
+        emit(self.metrics.as_deref(), || Event::ServeShed(kind));
         Pending::Shed { format, id, kind }
     }
 
@@ -272,8 +270,8 @@ impl Engine {
 
     /// The engine's metrics sink, if any (the reload watcher records its
     /// accept/reject audit trail through it).
-    pub fn metrics(&self) -> Option<&Arc<dyn MetricsSink>> {
-        self.metrics.as_ref()
+    pub fn metrics(&self) -> Option<&dyn MetricsSink> {
+        self.metrics.as_deref()
     }
 
     /// Requests currently waiting in the micro-batch queue.
@@ -300,9 +298,9 @@ impl Engine {
     }
 
     fn record_request(&self, latency_us: u64, ok: bool) {
-        if let Some(metrics) = &self.metrics {
-            metrics.record_serve_request(ServeRequestSample { latency_us, ok });
-        }
+        emit(self.metrics.as_deref(), || {
+            Event::ServeRequest(ServeRequestSample { latency_us, ok })
+        });
     }
 }
 

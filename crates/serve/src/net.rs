@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use plssvm_core::trace::ServeShedKind;
+use plssvm_core::trace::{emit, Event, ServeShedKind};
 
 use crate::admission::ServerControl;
 use crate::engine::{Engine, Pending};
@@ -373,9 +373,9 @@ fn refuse_connection(engine: &Engine, control: &ServerControl, mut stream: TcpSt
     };
     let _ = stream.write_all(line.as_bytes());
     let _ = stream.write_all(b"\n");
-    if let Some(metrics) = engine.metrics() {
-        metrics.record_serve_shed(ServeShedKind::RefusedConnection);
-    }
+    emit(engine.metrics(), || {
+        Event::ServeShed(ServeShedKind::RefusedConnection)
+    });
 }
 
 #[cfg(test)]

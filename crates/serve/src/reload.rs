@@ -27,7 +27,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
-use plssvm_core::trace::{ServeReloadBackoffSample, ServeReloadSample};
+use plssvm_core::trace::{emit, Event, ServeReloadBackoffSample, ServeReloadSample};
 
 use crate::engine::Engine;
 use crate::model::ServeModel;
@@ -152,13 +152,13 @@ pub fn attempt_reload_with(
 }
 
 fn record(engine: &Engine, generation: u64, accepted: bool, detail: String) {
-    if let Some(metrics) = engine.metrics() {
-        metrics.record_serve_reload(ServeReloadSample {
+    emit(engine.metrics(), || {
+        Event::ServeReload(ServeReloadSample {
             generation,
             accepted,
             detail,
-        });
-    }
+        })
+    });
 }
 
 /// Circuit-breaker knobs for reload failure storms.
@@ -263,12 +263,12 @@ impl ReloadBreaker {
                         .saturating_mul(1u64 << doublings)
                         .min(self.config.max_backoff_us);
                     self.blocked_until_us = now.saturating_add(backoff_us);
-                    if let Some(metrics) = engine.metrics() {
-                        metrics.record_serve_reload_backoff(ServeReloadBackoffSample {
+                    emit(engine.metrics(), || {
+                        Event::ServeReloadBackoff(ServeReloadBackoffSample {
                             consecutive_failures: self.consecutive_failures,
                             backoff_us,
-                        });
-                    }
+                        })
+                    });
                 }
                 ReloadAttempt::Rejected(e)
             }

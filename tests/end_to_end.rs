@@ -12,11 +12,9 @@ use plssvm::data::synthetic::{generate_planes, PlanesConfig};
 use plssvm::simgpu::{hw, Backend as DeviceApi};
 use plssvm::smo::{SmoConfig, ThunderConfig, ThunderSolver};
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("plssvm_integration");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
+#[path = "../crates/core/tests/scratch/mod.rs"]
+mod scratch;
+use scratch::ScratchDir;
 
 #[test]
 fn generate_scale_split_train_save_load_predict() {
@@ -36,7 +34,8 @@ fn generate_scale_split_train_save_load_predict() {
         .unwrap();
     assert!(out.converged);
     // 5. save + reload, predictions identical
-    let path = tmp("e2e.model");
+    let dir = ScratchDir::new("e2e");
+    let path = dir.join("e2e.model");
     out.model.save(&path).unwrap();
     let loaded = SvmModel::<f64>::load(&path).unwrap();
     assert_eq!(
@@ -46,7 +45,6 @@ fn generate_scale_split_train_save_load_predict() {
     // 6. accuracy sane on held-out data (1 % label flips bound it)
     let acc = accuracy(&loaded, &test);
     assert!(acc > 0.90, "test accuracy {acc}");
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -200,9 +198,9 @@ fn polynomial_kernel_end_to_end() {
     assert!(out.converged);
     assert!(accuracy(&out.model, &data) > 0.9);
     // model file roundtrip keeps the kernel hyperparameters
-    let path = tmp("poly.model");
+    let dir = ScratchDir::new("poly");
+    let path = dir.join("poly.model");
     out.model.save(&path).unwrap();
     let loaded = SvmModel::<f64>::load(&path).unwrap();
     assert_eq!(loaded.kernel, out.model.kernel);
-    std::fs::remove_file(&path).ok();
 }

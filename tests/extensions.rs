@@ -14,6 +14,10 @@ use plssvm::data::synthetic::{
 };
 use plssvm::simgpu::{hw, Backend as DeviceApi};
 
+#[path = "../crates/core/tests/scratch/mod.rs"]
+mod scratch;
+use scratch::ScratchDir;
+
 #[test]
 fn sigmoid_kernel_trains_with_smo_and_predicts() {
     // the sigmoid kernel is indefinite for the LS-SVM in general, but SMO
@@ -163,13 +167,11 @@ fn multiclass_on_device_backend_with_rbf() {
     let model = train_multiclass(&data, &trainer, MultiClassStrategy::OneVsOne).unwrap();
     assert!(model.accuracy(&data) >= 0.97);
     // container round trip through a file keeps predictions
-    let dir = std::env::temp_dir().join("plssvm_ext_test");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("mc-rbf");
     let path = dir.join("mc_rbf.model");
     model.save(&path).unwrap();
     let back = MultiClassModel::<f64>::load(&path).unwrap();
     assert_eq!(model.predict(&data.x), back.predict(&data.x));
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
